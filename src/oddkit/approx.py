@@ -116,7 +116,7 @@ def jackson_bernstein_ratio(matrix, base, r, p=math.inf):
     """Ratio of the approximation-space norm (integral form) to the dyadic
     block smoothness norm of the same (base, r, p); the two scales coincide,
     so the ratio measures the equivalence constants.  Rejects zero input."""
-    if not matrix._diags:
+    if matrix.is_zero():
         raise ValueError("ratio undefined for the zero matrix")
     num = approx_space_norm(matrix, base, r, p, form="sum")
     den = besov_norm_solid_lp(matrix, base, r, p)
@@ -148,7 +148,7 @@ def cpr_shift_identity_check(matrix, p, q, r, s, form="sum"):
     p == q also with the plain cpr(p, r + s) norm."""
     if s <= 0:
         raise ValueError("smoothness s must be > 0")
-    if not matrix._diags:
+    if matrix.is_zero():
         raise ValueError("check undefined for the zero matrix")
     base_r = _norms.NormSpec("cpr", p=p, r=r)
     base_0 = _norms.NormSpec("cpr", p=p, r=0.0)

@@ -260,7 +260,7 @@ def embedding_check(matrix, r, base, s=0.5, p=math.inf, quad=None, hyp=True):
     """Measure the norm chain p=1 block norm >~ Bessel norm >~ p=inf block
     norm at smoothness r, the smoothness shift of bessel_convolve (order s,
     summability p), and optionally the hypersingular/Bessel ratio."""
-    if not matrix._diags:
+    if matrix.is_zero():
         raise ValueError("embedding check undefined for the zero matrix")
     b1 = besov_norm_solid_lp(matrix, base, r, 1.0)
     binf = besov_norm_solid_lp(matrix, base, r, math.inf)

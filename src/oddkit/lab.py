@@ -149,7 +149,7 @@ def invert_finite_section(matrix, sv_gate=1e-10, residual_gate=1e-8):
     residual check ||B B^-1 - I||_op <= residual_gate.
     """
     dense = matrix.to_dense()
-    if not matrix._diags:
+    if matrix.is_zero():
         raise SingularSectionError("zero matrix has no inverse")
     svals = np.linalg.svd(dense, compute_uv=False)
     if svals[-1] < sv_gate * svals[0]:

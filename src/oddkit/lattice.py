@@ -11,6 +11,16 @@ layout is the native one throughout the package.
 Row order inside a diagonal is ascending in k (per axis for d = 2), so the
 array for offset m has shape ``(2W+1-|m_1|, ..., 2W+1-|m_d|)``.
 
+All stored diagonals share one packed, read-only complex128 buffer: an
+(M, d) offset table in lexicographic order, and for each diagonal its start
+index and length in the buffer, its rows flattened in C order.  A multiplier
+on the diagonals is then one vector operation on the buffer (``buf *
+np.repeat(f, lengths)``), a per-diagonal reduction is one ``reduceat`` over
+the start indices, and the dense window matrix is one scatter through a
+flat index map (cached per (d, W) up to 2^20 dense entries).  Only this
+module reads the layout; the rest of the package goes through the methods
+of :class:`LatticeMatrix`.
+
 Lattice indices are plain tuples of ints; offsets may be given as bare ints
 when d = 1.
 """
@@ -18,6 +28,7 @@ when d = 1.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 
@@ -53,8 +64,73 @@ def _as_offset(offset, dim):
     return offset
 
 
-def _diag_shape(window, offset):
-    return tuple(2 * window + 1 - abs(m) for m in offset)
+def _lengths(window, offs):
+    """Number of entries of each diagonal of an (M, d) offset table."""
+    return np.prod(2 * window + 1 - np.abs(offs), axis=1)
+
+
+def _ranges(starts, lens):
+    """Concatenation of arange(s, s + l) over the pairs (s, l)."""
+    total = int(lens.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.intp)
+    shift = starts - (np.cumsum(lens) - lens)
+    return np.repeat(shift, lens) + np.arange(total)
+
+
+def _keys(window, offs):
+    """Rank of each offset among all offsets of the window, lexicographically."""
+    side = 4 * window + 1
+    keys = np.zeros(offs.shape[0], dtype=np.int64)
+    for j in range(offs.shape[1]):
+        keys = keys * side + (offs[:, j] + 2 * window)
+    return keys
+
+
+# Full layouts of at most this many entries (4 MB of int32 index map) are
+# cached; larger ones are rebuilt per call, which costs two passes over the
+# map against the O(n^3) dense work that windows of that size go with.
+_CACHED_LAYOUT_ENTRIES = 2**20
+
+
+def _full_layout(dim, window):
+    """Every offset of the window in sorted order, the buffer start and
+    length of each diagonal and, for each entry of the full buffer, its
+    index in the flattened dense window matrix (int32 where that fits)."""
+    if (2 * window + 1) ** (2 * dim) <= _CACHED_LAYOUT_ENTRIES:
+        return _cached_layout(dim, window)
+    return _build_layout(dim, window)
+
+
+def _build_layout(dim, window):
+    n = 2 * window + 1
+    n_rows = n**dim
+    axis = np.arange(-2 * window, 2 * window + 1, dtype=np.int64)
+    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    extent = n - np.abs(offs)
+    lens = extent.prod(axis=1)
+    starts = np.cumsum(lens) - lens
+    # The buffer is a run of lines along the last axis, and along a line
+    # both the row and the column step by one: the dense index steps by
+    # n_rows + 1.  So the map needs only the first entry of every line.
+    per_diag = extent[:, :-1].prod(axis=1)
+    diag = np.repeat(np.arange(offs.shape[0]), per_diag)
+    line = np.arange(diag.size) - np.repeat(np.cumsum(per_diag) - per_diag, per_diag)
+    powers = n ** np.arange(dim - 1, -1, -1)
+    first_row = np.maximum(offs, 0)[diag] @ powers + line * powers[0]
+    first = first_row * (n_rows + 1) - (offs @ powers)[diag]
+    line_len = extent[diag, -1]
+    dtype = np.int32 if n_rows * n_rows < 2**31 else np.intp
+    flat = np.arange(int(lens.sum()), dtype=dtype)
+    flat -= np.repeat((starts[diag] + line * line_len).astype(dtype), line_len)
+    flat *= n_rows + 1
+    flat += np.repeat(first.astype(dtype), line_len)
+    for arr in (offs, starts, lens, flat):
+        arr.setflags(write=False)
+    return offs, starts, lens, flat
+
+
+_cached_layout = functools.lru_cache(maxsize=8)(_build_layout)
 
 
 class LatticeMatrix:
@@ -68,14 +144,16 @@ class LatticeMatrix:
         Half-width W of the index window [-W, W]^d.
     diagonals : mapping or iterable of (offset, array)
         Entries A(k, k-m) per offset m.  Arrays are converted to complex128
-        and must have the admissible-row shape for their offset.  Diagonals
-        that are identically zero are dropped, so the stored representation
-        is canonical and ``==`` means entrywise equality.
+        and must have the admissible-row shape (or size) for their offset.
+        Offsets must be distinct and entries finite.  Diagonals that are
+        identically zero are dropped, so the stored representation is
+        canonical and ``==`` means entrywise equality.
 
-    Instances are immutable; the stored arrays are marked read-only.
+    Instances are immutable; the packed buffer is marked read-only, and so
+    is every diagonal view handed out.
     """
 
-    __slots__ = ("dim", "window", "_diags")
+    __slots__ = ("dim", "window", "_offs", "_buf", "_starts", "_lens")
 
     def __init__(self, dim, window, diagonals=()):
         dim = int(dim)
@@ -84,29 +162,53 @@ class LatticeMatrix:
             raise ValueError("dim must be 1 or 2")
         if window < 1:
             raise ValueError("window must be >= 1")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "window", window)
-        items = diagonals.items() if hasattr(diagonals, "items") else diagonals
-        store = {}
-        for offset, arr in items:
-            offset = _as_offset(offset, dim)
-            if max(abs(m) for m in offset) > 2 * window:
-                raise IndexError(f"offset {offset} outside window of half-width {window}")
+        items = list(diagonals.items() if hasattr(diagonals, "items") else diagonals)
+        offs = np.array([_as_offset(off, dim) for off, _ in items], dtype=np.int64)
+        offs = offs.reshape(len(items), dim)
+        outside = np.abs(offs).max(axis=1, initial=0) > 2 * window
+        if outside.any():
+            off = tuple(offs[np.argmax(outside)].tolist())
+            raise IndexError(f"offset {off} outside window of half-width {window}")
+        lens = _lengths(window, offs)
+        arrays = []
+        for (_, arr), off, size in zip(items, offs.tolist(), lens.tolist()):
             arr = np.asarray(arr, dtype=np.complex128)
-            shape = _diag_shape(window, offset)
-            if arr.shape != shape:
-                if arr.size == int(np.prod(shape)):
-                    arr = arr.reshape(shape)
-                else:
-                    raise ValueError(
-                        f"diagonal {offset}: expected shape {shape}, got {arr.shape}"
-                    )
-            if not arr.any():
-                continue
-            arr = np.array(arr, dtype=np.complex128, order="C")
+            if arr.size != size:
+                shape = tuple(2 * window + 1 - abs(m) for m in off)
+                raise ValueError(
+                    f"diagonal {tuple(off)}: expected shape {shape}, got {arr.shape}"
+                )
+            arrays.append(arr.ravel())
+        order = np.lexsort(offs.T[::-1])
+        offs, lens = offs[order], lens[order]
+        same = (offs[1:] == offs[:-1]).all(axis=1)
+        if same.any():
+            raise ValueError(f"duplicate offset {tuple(offs[np.argmax(same)].tolist())}")
+        if arrays:
+            buf = np.concatenate([arrays[i] for i in order])
+        else:
+            buf = np.zeros(0, dtype=np.complex128)
+        finite = np.isfinite(buf)
+        if not finite.all():
+            pos = int(np.argmin(finite))
+            diag = int(np.searchsorted(np.cumsum(lens), pos, side="right"))
+            raise ValueError(f"diagonal {tuple(offs[diag].tolist())}: non-finite entry")
+        self._init(dim, window, *_drop_zero(offs, buf, lens))
+
+    def _init(self, dim, window, offs, buf, lens):
+        for arr in (offs, buf, lens):
             arr.setflags(write=False)
-            store[offset] = arr
-        object.__setattr__(self, "_diags", store)
+        starts = np.cumsum(lens) - lens
+        starts.setflags(write=False)
+        for name, value in (
+            ("dim", dim),
+            ("window", window),
+            ("_offs", offs),
+            ("_buf", buf),
+            ("_starts", starts),
+            ("_lens", lens),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeMatrix is immutable")
@@ -114,12 +216,10 @@ class LatticeMatrix:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _raw(cls, dim, window, diags):
-        """Internal: wrap an already-canonical diagonal dict without copying."""
+    def _raw(cls, dim, window, offs, buf, lens):
+        """Internal: wrap an already-canonical layout without checks or copies."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", dim)
-        object.__setattr__(obj, "window", window)
-        object.__setattr__(obj, "_diags", diags)
+        obj._init(dim, window, offs, buf, lens)
         return obj
 
     @classmethod
@@ -128,7 +228,7 @@ class LatticeMatrix:
 
     @classmethod
     def identity(cls, dim, window):
-        shape = _diag_shape(window, (0,) * dim)
+        shape = (2 * window + 1,) * dim
         return cls(dim, window, {(0,) * dim: np.ones(shape)})
 
     @classmethod
@@ -137,40 +237,27 @@ class LatticeMatrix:
 
         For d = 1 ``dense`` is (2W+1) x (2W+1) with row index k + W.  For
         d = 2 it is (2W+1)^2 x (2W+1)^2 with rows flattened in C order,
-        i.e. index (k1 + W) * (2W+1) + (k2 + W).
+        i.e. index (k1 + W) * (2W+1) + (k2 + W).  Non-finite entries are
+        refused.
         """
         dense = np.asarray(dense, dtype=np.complex128)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("dense window matrix must be square")
-        n = dense.shape[0]
-        if dim == 1:
-            if window is None:
-                window = (n - 1) // 2
-            if n != 2 * window + 1:
-                raise ValueError("dense size does not match window")
-            diags = {}
-            for m in range(-2 * window, 2 * window + 1):
-                d = np.diagonal(dense, offset=-m)
-                if d.any():
-                    diags[(m,)] = d.copy()
-            return cls(1, window, diags)
-        side = int(round(math.sqrt(n)))
-        if side * side != n:
+        if dim not in (1, 2):
+            raise ValueError("dim must be 1 or 2")
+        n_rows = dense.shape[0]
+        side = math.isqrt(n_rows) if dim == 2 else n_rows
+        if side**dim != n_rows:
             raise ValueError("dense size is not a perfect square for dim=2")
         if window is None:
             window = (side - 1) // 2
-        if side != 2 * window + 1:
+        if side != 2 * window + 1 or window < 1:
             raise ValueError("dense size does not match window")
-        t = dense.reshape(side, side, side, side)
-        diags = {}
-        for m1 in range(-2 * window, 2 * window + 1):
-            i1 = np.arange(max(0, m1), side + min(0, m1))
-            for m2 in range(-2 * window, 2 * window + 1):
-                i2 = np.arange(max(0, m2), side + min(0, m2))
-                block = t[i1[:, None], i2[None, :], i1[:, None] - m1, i2[None, :] - m2]
-                if block.any():
-                    diags[(m1, m2)] = block
-        return cls(2, window, diags)
+        offs, _, lens, flat = _full_layout(dim, window)
+        buf = dense.ravel()[flat]
+        if not np.isfinite(buf).all():
+            raise ValueError("dense matrix has non-finite entries")
+        return cls._raw(dim, window, *_drop_zero(offs, buf, lens))
 
     # -- basic queries --------------------------------------------------------
 
@@ -180,51 +267,79 @@ class LatticeMatrix:
 
     def offsets(self):
         """Sorted list of stored diagonal offsets."""
-        return sorted(self._diags)
+        return [tuple(off) for off in self._offs.tolist()]
 
     def offset_array(self):
-        """Stored offsets as an (M, dim) int array, lexicographically sorted."""
-        offs = self.offsets()
-        if not offs:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.asarray(offs, dtype=np.int64)
+        """Stored offsets as a read-only (M, dim) int array, lexicographically
+        sorted."""
+        return self._offs
+
+    def is_zero(self):
+        """True when no diagonal is stored, i.e. the matrix is zero."""
+        return self._buf.size == 0
 
     def diagonals(self):
         """Iterate over (offset, read-only array) in sorted offset order."""
-        for off in self.offsets():
-            yield off, self._diags[off]
+        shapes = (2 * self.window + 1 - np.abs(self._offs)).tolist()
+        stops = np.cumsum(self._lens).tolist()
+        for off, shape, start, stop in zip(
+            self._offs.tolist(), shapes, self._starts.tolist(), stops
+        ):
+            yield tuple(off), self._buf[start:stop].reshape(shape)
 
     def side_diagonal(self, offset):
         """Entries A(k, k-m) for the given offset, zeros if not stored."""
         offset = _as_offset(offset, self.dim)
         if max(abs(m) for m in offset) > 2 * self.window:
             raise IndexError(f"offset {offset} outside window of half-width {self.window}")
-        arr = self._diags.get(offset)
-        if arr is None:
-            return np.zeros(_diag_shape(self.window, offset), dtype=np.complex128)
-        return arr
+        shape = tuple(2 * self.window + 1 - abs(m) for m in offset)
+        keys = _keys(self.window, self._offs)
+        key = _keys(self.window, np.asarray([offset]))[0]
+        i = int(np.searchsorted(keys, key))
+        if i == keys.size or keys[i] != key:
+            return np.zeros(shape, dtype=np.complex128)
+        start = int(self._starts[i])
+        return self._buf[start : start + int(self._lens[i])].reshape(shape)
 
     def envelope(self):
         """Per-diagonal sup of |entries|, aligned with :meth:`offset_array`."""
-        offs = self.offsets()
-        env = np.array([np.abs(self._diags[o]).max() for o in offs], dtype=float)
-        return self.offset_array(), env
+        if self.is_zero():
+            return self._offs, np.zeros(0)
+        return self._offs, np.maximum.reduceat(np.abs(self._buf), self._starts)
+
+    def diagonal_power_sums(self, p):
+        """Per-diagonal sum of |entries|^p, aligned with :meth:`offset_array`."""
+        if self.is_zero():
+            return np.zeros(0)
+        return np.add.reduceat(np.abs(self._buf) ** p, self._starts)
+
+    def line_power_sums(self, p, weights):
+        """Row and column sums of weights(m)^p |A(k, l)|^p, m = k - l.
+
+        ``weights`` is aligned with :meth:`offset_array`.  Returns two arrays
+        of length :attr:`n_rows` indexed like the rows of :meth:`to_dense`.
+        """
+        n_rows = self.n_rows
+        powed = np.abs(self._buf) ** p * np.repeat(np.asarray(weights) ** p, self._lens)
+        rows, cols = np.divmod(self._dense_index(), n_rows)
+        return (
+            np.bincount(rows, powed, minlength=n_rows),
+            np.bincount(cols, powed, minlength=n_rows),
+        )
+
+    def _dense_index(self):
+        """Index of every buffer entry in the flattened dense matrix."""
+        full_offs, full_starts, _, flat = _full_layout(self.dim, self.window)
+        if self._offs.shape[0] == full_offs.shape[0]:
+            return flat
+        at = full_starts[_keys(self.window, self._offs)]
+        return flat[_ranges(at, self._lens)]
 
     def to_dense(self):
-        w, n = self.window, 2 * self.window + 1
-        if self.dim == 1:
-            dense = np.zeros((n, n), dtype=np.complex128)
-            for (m,), arr in self._diags.items():
-                i = np.arange(max(0, m), n + min(0, m))
-                dense[i, i - m] = arr
-            return dense
-        dense = np.zeros((n * n, n * n), dtype=np.complex128)
-        t = dense.reshape(n, n, n, n)
-        for (m1, m2), arr in self._diags.items():
-            i1 = np.arange(max(0, m1), n + min(0, m1))
-            i2 = np.arange(max(0, m2), n + min(0, m2))
-            t[i1[:, None], i2[None, :], i1[:, None] - m1, i2[None, :] - m2] = arr
-        return dense
+        n_rows = self.n_rows
+        dense = np.zeros(n_rows * n_rows, dtype=np.complex128)
+        dense[self._dense_index()] = self._buf
+        return dense.reshape(n_rows, n_rows)
 
     # -- algebra --------------------------------------------------------------
 
@@ -237,14 +352,35 @@ class LatticeMatrix:
                 f"(dim={other.dim}, W={other.window})"
             )
 
+    def _aligned(self, other):
+        """Both buffers on the union of the two offset tables (zero-filled):
+        (offsets, lengths, self's buffer, other's buffer)."""
+        if np.array_equal(self._offs, other._offs):
+            return self._offs, self._lens, self._buf, other._buf
+        mine = _keys(self.window, self._offs)
+        theirs = _keys(self.window, other._offs)
+        union = np.union1d(mine, theirs)
+        at_mine = np.searchsorted(union, mine)
+        at_theirs = np.searchsorted(union, theirs)
+        offs = np.empty((union.size, self.dim), dtype=np.int64)
+        offs[at_mine] = self._offs
+        offs[at_theirs] = other._offs
+        lens = _lengths(self.window, offs)
+        starts = np.cumsum(lens) - lens
+        out = []
+        for src, at in ((self, at_mine), (other, at_theirs)):
+            if at.size == union.size:
+                out.append(src._buf)  # already on the union
+                continue
+            buf = np.zeros(int(lens.sum()), dtype=np.complex128)
+            buf[_ranges(starts[at], src._lens)] = src._buf
+            out.append(buf)
+        return offs, lens, out[0], out[1]
+
     def __add__(self, other):
         self._check_compatible(other)
-        diags = {}
-        for off in set(self._diags) | set(other._diags):
-            a = self._diags.get(off)
-            b = other._diags.get(off)
-            diags[off] = (a + b) if (a is not None and b is not None) else (a if b is None else b)
-        return LatticeMatrix(self.dim, self.window, diags)
+        offs, lens, a, b = self._aligned(other)
+        return LatticeMatrix._raw(self.dim, self.window, *_drop_zero(offs, a + b, lens))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -253,8 +389,8 @@ class LatticeMatrix:
         scalar = complex(scalar)
         if scalar == 0:
             return LatticeMatrix(self.dim, self.window)
-        return LatticeMatrix(
-            self.dim, self.window, {o: a * scalar for o, a in self._diags.items()}
+        return LatticeMatrix._raw(
+            self.dim, self.window, *_drop_zero(self._offs, self._buf * scalar, self._lens)
         )
 
     __rmul__ = __mul__
@@ -268,49 +404,73 @@ class LatticeMatrix:
     def __eq__(self, other):
         if not isinstance(other, LatticeMatrix):
             return NotImplemented
-        if self.dim != other.dim or self.window != other.window:
-            return False
-        if set(self._diags) != set(other._diags):
-            return False
-        return all(np.array_equal(self._diags[o], other._diags[o]) for o in self._diags)
+        return (
+            self.dim == other.dim
+            and self.window == other.window
+            and np.array_equal(self._offs, other._offs)
+            and np.array_equal(self._buf, other._buf)
+        )
 
     def __hash__(self):
-        return hash((self.dim, self.window, tuple(self.offsets())))
+        return hash((self.dim, self.window, self._offs.tobytes()))
 
     def allclose(self, other, rtol=1e-12, atol=1e-14):
         if self.dim != other.dim or self.window != other.window:
             return False
-        for off in set(self._diags) | set(other._diags):
-            a = self.side_diagonal(off)
-            b = other.side_diagonal(off)
-            if not np.allclose(a, b, rtol=rtol, atol=atol):
-                return False
-        return True
+        _, _, a, b = self._aligned(other)
+        return bool(np.allclose(a, b, rtol=rtol, atol=atol))
+
+    def max_abs_diff(self, other):
+        """Largest |A(k, l) - B(k, l)| over the window (0 when both are zero)."""
+        self._check_compatible(other)
+        _, _, a, b = self._aligned(other)
+        return float(np.abs(a - b).max(initial=0.0))
+
+    def select(self, mask):
+        """The matrix made of the diagonals whose entry of ``mask`` (aligned
+        with :meth:`offset_array`) is true."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.all():
+            return self
+        return LatticeMatrix._raw(
+            self.dim,
+            self.window,
+            self._offs[mask],
+            self._buf[np.repeat(mask, self._lens)],
+            self._lens[mask],
+        )
 
     def scale_diagonals(self, factor_fn):
         """New matrix with diagonal m multiplied by factor_fn(offsets).
 
-        ``factor_fn`` receives the (M, dim) offset array and must return M
-        complex factors.  Diagonals whose factor is exactly zero are dropped.
+        ``factor_fn`` receives the read-only (M, dim) offset array and must
+        return M complex factors.  Diagonals whose factor is exactly zero
+        are dropped.
         """
-        offs = self.offsets()
-        if not offs:
-            return LatticeMatrix._raw(self.dim, self.window, {})
-        factors = np.asarray(factor_fn(np.asarray(offs, dtype=np.int64)))
-        diags = {}
-        for off, f in zip(offs, factors):
-            if f == 0:
-                continue
-            arr = self._diags[off] * f
-            arr.setflags(write=False)
-            diags[off] = arr
-        return LatticeMatrix._raw(self.dim, self.window, diags)
+        if self.is_zero():
+            return self
+        factors = np.asarray(factor_fn(self._offs))
+        scaled = LatticeMatrix._raw(
+            self.dim, self.window, self._offs, self._buf * np.repeat(factors, self._lens),
+            self._lens,
+        )
+        return scaled.select(factors != 0)
 
     def __repr__(self):
         return (
             f"LatticeMatrix(dim={self.dim}, window={self.window}, "
-            f"diagonals={len(self._diags)})"
+            f"diagonals={self._offs.shape[0]})"
         )
+
+
+def _drop_zero(offs, buf, lens):
+    """The layout without its identically zero diagonals."""
+    if buf.size == 0:
+        return offs, buf, lens
+    keep = np.logical_or.reduceat(buf != 0, np.cumsum(lens) - lens)
+    if keep.all():
+        return offs, buf, lens
+    return offs[keep], buf[np.repeat(keep, lens)], lens[keep]
 
 
 # -- free-function interface ------------------------------------------------
@@ -337,12 +497,7 @@ def band_truncate(matrix, n):
     n = int(n)
     if n < 0:
         raise ValueError("bandwidth must be >= 0")
-    diags = {
-        off: arr
-        for off, arr in matrix._diags.items()
-        if max(abs(m) for m in off) < n
-    }
-    return LatticeMatrix._raw(matrix.dim, matrix.window, diags)
+    return matrix.select(np.abs(matrix.offset_array()).max(axis=1, initial=0) < n)
 
 
 def add(a, b):
@@ -359,15 +514,17 @@ def adjoint(matrix):
     """Conjugate transpose on the window: A*(k, l) = conj(A(l, k)).
 
     In diagonal-major storage the m diagonal of A* is the conjugate of the
-    -m diagonal of A taken in the same row order.
+    -m diagonal of A taken in the same row order; negating a sorted offset
+    table reverses its order.
     """
-    diags = {}
-    for off, arr in matrix._diags.items():
-        neg = tuple(-m for m in off)
-        conj = np.conj(arr)
-        conj.setflags(write=False)
-        diags[neg] = conj
-    return LatticeMatrix._raw(matrix.dim, matrix.window, diags)
+    order = _ranges(matrix._starts[::-1], matrix._lens[::-1])
+    return LatticeMatrix._raw(
+        matrix.dim,
+        matrix.window,
+        -matrix._offs[::-1],
+        np.conj(matrix._buf[order]),
+        matrix._lens[::-1].copy(),
+    )
 
 
 def _reduced_t(t, dim):
@@ -406,7 +563,7 @@ def difference(matrix, t, order=1):
         raise ValueError("order must be >= 1")
     t = _reduced_t(t, matrix.dim)
     if not t.any():
-        return LatticeMatrix._raw(matrix.dim, matrix.window, {})
+        return LatticeMatrix.zeros(matrix.dim, matrix.window)
 
     def factors(offs):
         ph = np.exp(2j * np.pi * _phase_fractions(offs, t)) - 1.0
@@ -463,20 +620,24 @@ def to_json_dict(matrix):
 
 
 def from_json_dict(payload):
+    """Inverse of :func:`to_json_dict`; refuses duplicate offsets and
+    non-finite entries like the constructor does."""
     try:
         dim = int(payload["dim"])
         window = int(payload["window"])
         raw = payload["diagonals"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
-    diags = {}
+    diags = []
     for item in raw:
         off = _as_offset(item["offset"], dim)
         re = np.asarray(item["re"], dtype=float)
         im = np.asarray(item["im"], dtype=float)
         if re.shape != im.shape:
             raise ValueError(f"diagonal {off}: re/im length mismatch")
-        diags[off] = (re + 1j * im).reshape(_diag_shape(window, off))
+        vals = re.astype(np.complex128)
+        vals.imag = im
+        diags.append((off, vals))
     return LatticeMatrix(dim, window, diags)
 
 
@@ -495,25 +656,29 @@ def load_csv(path, window=None):
     """Import a dense matrix from (row, col, re, im) records, d = 1 only.
 
     Indices are lattice positions in [-W, W]; absent entries are zero.  The
-    window is inferred from the largest index unless given.
+    window is inferred from the largest index unless given.  A repeated
+    (row, col) pair is refused, and so is a non-finite value.
     """
-    rows = []
+    entries = {}
     with open(path) as fh:
         for rec in csv.reader(fh):
             if not rec or rec[0].lstrip().startswith("#"):
                 continue
             if len(rec) != 4:
                 raise ValueError(f"expected 4 fields per record, got {rec}")
-            rows.append((int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])))
-    if not rows:
+            pos = (int(rec[0]), int(rec[1]))
+            if pos in entries:
+                raise ValueError(f"duplicate entry for (row, col) = {pos}")
+            entries[pos] = complex(float(rec[2]), float(rec[3]))
+    if not entries:
         raise ValueError("empty matrix file")
-    extent = max(max(abs(r), abs(c)) for r, c, _, _ in rows)
+    extent = max(max(abs(r), abs(c)) for r, c in entries)
     if window is None:
         window = max(extent, 1)
     elif extent > window:
         raise ValueError(f"index {extent} outside window {window}")
     n = 2 * window + 1
     dense = np.zeros((n, n), dtype=np.complex128)
-    for r, c, re, im in rows:
-        dense[r + window, c + window] = re + 1j * im
+    for (r, c), value in entries.items():
+        dense[r + window, c + window] = value
     return LatticeMatrix.from_dense(dense, 1, window)

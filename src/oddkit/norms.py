@@ -17,6 +17,7 @@ and a small string grammar, e.g. ``jaffard:r=2`` or
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -69,6 +70,8 @@ class Weight:
     def __post_init__(self):
         if self.kind not in ("poly", "bessel"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if not math.isfinite(self.r):
+            raise ValueError("weight r must be finite")
 
     def __call__(self, offsets):
         if self.kind == "poly":
@@ -96,7 +99,7 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.kind == "op" and self.weight is not None:
             raise ValueError("operator norm is not solid; weights not allowed")
-        if self.r < 0:
+        if not (self.r >= 0):
             raise ValueError("r must be >= 0")
         if not (self.p >= 1):
             raise ValueError("p must be in [1, inf]")
@@ -113,15 +116,28 @@ def is_solid(spec):
 # -- the norms ---------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=2)
+def _coupled_slices(dim, window, offsets_bytes):
+    """Per stored offset m: the slices of the window grid holding the rows
+    k and the columns k - m that diagonal m couples."""
+    n = 2 * window + 1
+    offsets = np.frombuffer(offsets_bytes, dtype=np.int64).reshape(-1, dim)
+    return [
+        (
+            tuple(slice(max(0, m), n + min(0, m)) for m in off),
+            tuple(slice(max(0, -m), n + min(0, -m)) for m in off),
+        )
+        for off in offsets.tolist()
+    ]
+
+
 def _diag_matvec(matrix, x, conj=False):
     """A @ x (or A* @ x) straight from diagonal storage; x is flat."""
-    n = 2 * matrix.window + 1
-    shape = (n,) * matrix.dim
+    shape = (2 * matrix.window + 1,) * matrix.dim
     xg = np.asarray(x).reshape(shape)
     out = np.zeros(shape, dtype=np.complex128)
-    for off, arr in matrix._diags.items():
-        row_sl = tuple(slice(max(0, m), n + min(0, m)) for m in off)
-        col_sl = tuple(slice(max(0, -m), n + min(0, -m)) for m in off)
+    slices = _coupled_slices(matrix.dim, matrix.window, matrix.offset_array().tobytes())
+    for (_, arr), (row_sl, col_sl) in zip(matrix.diagonals(), slices):
         if conj:
             out[col_sl] += arr.conj() * xg[row_sl]
         else:
@@ -135,12 +151,17 @@ def op_norm_l2(matrix, tol=1e-10):
     Windows up to 2048 rows go through a dense SVD; larger ones stay in
     diagonal storage and use ARPACK on the implicit matrix (svds, k=1).
     """
-    if not matrix._diags:
+    if matrix.is_zero():
         return 0.0
-    n = (2 * matrix.window + 1) ** matrix.dim
+    n = matrix.n_rows
     if n <= 2048:
         return float(np.linalg.svd(matrix.to_dense(), compute_uv=False)[0])
-    from scipy.sparse.linalg import LinearOperator, svds
+    from scipy.sparse.linalg import (
+        ArpackError,
+        ArpackNoConvergence,
+        LinearOperator,
+        svds,
+    )
 
     op = LinearOperator(
         (n, n),
@@ -152,7 +173,7 @@ def op_norm_l2(matrix, tol=1e-10):
     v0 = rng.standard_normal(n)
     try:
         return float(svds(op, k=1, tol=tol, v0=v0, return_singular_vectors=False)[0])
-    except Exception:
+    except (ArpackNoConvergence, ArpackError):
         # ARPACK cannot restart on (near-)projection spectra; power iteration
         # on A*A with a Rayleigh residual stop handles exactly those
         pass
@@ -219,21 +240,8 @@ def schur_norm(matrix, p, r, weight=None):
     w = polynomial_weight(offs, r)
     if weight is not None:
         w = w * weight(offs)
-    n = 2 * matrix.window + 1
-    shape = (n,) * matrix.dim
-    row_acc = np.zeros(shape)
-    col_acc = np.zeros(shape)
-    for (off, arr), wm in zip(matrix.diagonals(), w):
-        powed = np.abs(arr) ** p * wm**p
-        row_sl = tuple(
-            slice(max(0, m) , n + min(0, m)) for m in off
-        )
-        col_sl = tuple(
-            slice(max(0, -m), n + min(0, -m)) for m in off
-        )
-        row_acc[row_sl] += powed
-        col_acc[col_sl] += powed
-    return float(max(row_acc.max(), col_acc.max()) ** (1.0 / p))
+    row_sums, col_sums = matrix.line_power_sums(p, w)
+    return float(max(row_sums.max(), col_sums.max()) ** (1.0 / p))
 
 
 def cpr_norm(matrix, p, r, weight=None, literal=False):
@@ -254,9 +262,7 @@ def cpr_norm(matrix, p, r, weight=None, literal=False):
         _, env = matrix.envelope()
         return float((env * w).max())
     if literal:
-        sums = np.array(
-            [float((np.abs(arr) ** p).sum()) for _, arr in matrix.diagonals()]
-        )
+        sums = matrix.diagonal_power_sums(p)
         return float((sums * w**p).sum() ** (1.0 / p))
     _, env = matrix.envelope()
     return float(((env * w) ** p).sum() ** (1.0 / p))

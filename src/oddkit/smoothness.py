@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .lattice import LatticeMatrix, difference
+from .lattice import difference
 
 __all__ = [
     "BesovSpec",
@@ -185,14 +185,6 @@ def _require_solid(spec):
         raise ValueError("this evaluator requires a solid base norm")
 
 
-def _submatrix(matrix, keep_mask, offsets):
-    diags = {}
-    for off, keep in zip(map(tuple, offsets), keep_mask):
-        if keep:
-            diags[off] = matrix._diags[off]
-    return LatticeMatrix._raw(matrix.dim, matrix.window, diags)
-
-
 def besov_norm_solid_lp(matrix, base, r, p=math.inf):
     """Weighted l^p sum of base norms of the dyadic diagonal blocks
     floor(2^k) <= |m|_inf < 2^{k+1}, k >= -1 (k = -1 is the main diagonal,
@@ -213,7 +205,7 @@ def besov_norm_solid_lp(matrix, base, r, p=math.inf):
         hi = 2.0 ** (k + 1)
         mask = (sup >= lo) & (sup < hi)
         if mask.any():
-            terms.append(2.0 ** (k * r) * fn(_submatrix(matrix, mask, offs)))
+            terms.append(2.0 ** (k * r) * fn(matrix.select(mask)))
         k += 1
         if 2.0**k > max_abs:
             break

@@ -92,23 +92,13 @@ def measure_quotient(mats, ts, margin=2.0):
     return worst
 
 
-def _max_diag_diff(x, y):
-    worst = 0.0
-    for off in set(x._diags) | set(y._diags):
-        worst = max(
-            worst,
-            float(np.abs(x.side_diagonal(off) - y.side_diagonal(off)).max(initial=0.0)),
-        )
-    return worst
-
-
 def measure_group_law(mats, ts):
     worst = 0.0
     for a in mats:
         for s, t in zip(ts[:-1], ts[1:]):
             lhs = _lattice.modulate(_lattice.modulate(a, s), t)
             rhs = _lattice.modulate(a, s + t)
-            worst = max(worst, _max_diag_diff(lhs, rhs))
+            worst = max(worst, lhs.max_abs_diff(rhs))
     return worst
 
 
@@ -123,7 +113,7 @@ def measure_binomial(mats, ts, orders=(1, 2, 3)):
                     acc = acc + ((-1.0) ** (k - j) * math.comb(k, j)) * _lattice.modulate(
                         a, j * np.asarray(t)
                     )
-                worst = max(worst, _max_diag_diff(_lattice.difference(a, t, k), acc))
+                worst = max(worst, _lattice.difference(a, t, k).max_abs_diff(acc))
     return worst
 
 
@@ -169,7 +159,7 @@ def measure_bernstein(mats, specs=DEFAULT_SOLID_SPECS, bands=(4, 8, 16)):
     for a in mats:
         for n in bands:
             trunc = _lattice.band_truncate(a, n)
-            if not trunc._diags:
+            if trunc.is_zero():
                 continue
             for axis in range(a.dim):
                 alpha = tuple(1 if j == axis else 0 for j in range(a.dim))
@@ -237,7 +227,7 @@ def measure_bessel_exact(mats, rs=(0.5, 1.0, 1.9), base="jaffard:r=0"):
         one_step = _bessel.bessel_convolve(a, 1.5)
         _, env = a.envelope()
         scale = float(env.max())
-        worst = max(worst, _max_diag_diff(two_step, one_step) / scale)
+        worst = max(worst, two_step.max_abs_diff(one_step) / scale)
     return worst
 
 

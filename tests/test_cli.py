@@ -229,3 +229,22 @@ def test_threads_env_default(monkeypatch):
     assert cli._default_threads() == 1
     monkeypatch.delenv("ODD_THREADS")
     assert cli._default_threads() == 1
+
+
+def test_norm_refuses_bad_matrix_files_exit_2(tmp_path, capsys):
+    payload = oddkit.to_json_dict(single_diagonal(3, 1, value=0.5))
+    nan_entry = json.loads(json.dumps(payload))
+    nan_entry["diagonals"][0]["re"][2] = float("nan")
+    dup = json.loads(json.dumps(payload))
+    dup["diagonals"].append(dict(dup["diagonals"][0]))
+    for name, data in (("nan.json", nan_entry), ("dup.json", dup)):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))  # json writes NaN as a bare literal
+        assert main(["norm", "--in", str(path), "--spec", "op"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_norm_refuses_nan_parameter_exit_2(tmp_path, capsys):
+    eye = _save(LatticeMatrix.identity(1, 4), tmp_path)
+    assert main(["norm", "--in", eye, "--spec", "jaffard:r=nan"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -37,9 +38,14 @@ def test_immutable():
     a = LatticeMatrix.identity(1, 2)
     with pytest.raises(AttributeError):
         a.window = 3
-    with pytest.raises((ValueError, RuntimeError)):
-        a.side_diagonal(0)  # read view of stored array
-        a._diags[(0,)][0] = 5.0
+    with pytest.raises(ValueError):
+        a.side_diagonal(0)[0] = 5.0
+    for _, arr in a.diagonals():
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    with pytest.raises(ValueError):
+        a.offset_array()[0, 0] = 1
+    assert a == LatticeMatrix.identity(1, 2)
 
 
 def test_identity_side_diagonals():
@@ -272,3 +278,69 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != LatticeMatrix.identity(1, 2)
     assert a != "not a matrix"
+
+
+def test_constructor_refuses_non_finite_and_duplicates():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        vals = np.ones(4, dtype=complex)
+        vals[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LatticeMatrix(1, 2, {(0,): np.ones(5), (1,): vals})
+    with pytest.raises(ValueError, match="duplicate"):
+        LatticeMatrix(1, 2, [((1,), np.ones(4)), ((0,), np.ones(5)), ((1,), np.ones(4))])
+    with pytest.raises(ValueError, match="duplicate"):
+        LatticeMatrix(1, 2, [(0, np.ones(5)), ((0,), np.ones(5))])  # bare int and tuple
+    with pytest.raises(ValueError, match="duplicate"):
+        LatticeMatrix(2, 1, [((0, 1), np.ones((3, 2))), ((0, 1), np.zeros((3, 2)))])
+    dense = np.eye(5, dtype=complex)
+    dense[0, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        LatticeMatrix.from_dense(dense)
+
+
+def test_json_refuses_non_finite_and_duplicates():
+    a = random_matrix(80, 2, density=0.8)
+    payload = oddkit.to_json_dict(a)
+    bad = json.loads(json.dumps(payload))
+    bad["diagonals"][1]["re"][0] = float("nan")
+    with pytest.raises(ValueError, match="non-finite"):
+        oddkit.from_json_dict(bad)
+    dup = json.loads(json.dumps(payload))
+    dup["diagonals"].append(dict(dup["diagonals"][0]))
+    with pytest.raises(ValueError, match="duplicate"):
+        oddkit.from_json_dict(dup)
+    assert oddkit.from_json_dict(payload) == a
+
+
+def test_csv_refuses_non_finite_and_duplicates(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("0,0,1.0,0.0\n1,0,nan,0.0\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        oddkit.load_csv(path)
+    path.write_text("0,0,1.0,0.0\n1,0,0.5,0.0\n1,0,0.25,0.0\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        oddkit.load_csv(path)
+
+
+def test_diagonal_primitives_match_dense():
+    a = random_matrix(81, 3, density=0.5)
+    dense = a.to_dense()
+    diff = offset_grid(1, 3)[..., 0]
+    offs = a.offset_array()
+    assert not a.is_zero() and LatticeMatrix.zeros(1, 3).is_zero()
+    w = 1.0 + np.abs(offs[:, 0]) / 2.0
+    rows, cols = a.line_power_sums(1.5, w)
+    weighted = np.abs(dense) ** 1.5 * (1.0 + np.abs(diff) / 2.0) ** 1.5
+    assert np.allclose(rows, weighted.sum(axis=1), rtol=1e-13)
+    assert np.allclose(cols, weighted.sum(axis=0), rtol=1e-13)
+    sums = a.diagonal_power_sums(2.0)
+    for off, s in zip(offs, sums):
+        assert math.isclose(s, float((np.abs(dense[diff == off[0]]) ** 2).sum()), rel_tol=1e-13)
+    mask = offs[:, 0] % 2 == 0
+    sub = a.select(mask)
+    assert sub.offsets() == [tuple(o) for o in offs[mask]]
+    assert np.array_equal(sub.to_dense(), np.where(diff % 2 == 0, dense, 0.0))
+    b = random_matrix(82, 3, density=0.5)
+    assert a.max_abs_diff(b) == float(np.abs(dense - b.to_dense()).max())
+    assert a.max_abs_diff(a) == 0.0
+

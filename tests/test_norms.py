@@ -244,3 +244,57 @@ def test_matrix_norm_dispatch():
         oddkit.matrix_norm(a, lambda m: 3.0), 3.0, rel_tol=1e-14
     )
     assert math.isclose(oddkit.matrix_norm(a, NormSpec("op")), oddkit.op_norm_l2(a), rel_tol=1e-12)
+
+
+def test_nan_parameters_refused():
+    with pytest.raises(ValueError):
+        NormSpec("jaffard", r=float("nan"))
+    with pytest.raises(ValueError):
+        NormSpec("schur", p=float("nan"))
+    for bad in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Weight("poly", bad)
+    for text in ("jaffard:r=nan", "cpr:p=2,r=nan", "w[bessel:r=nan]jaffard:r=0"):
+        with pytest.raises(ValueError):
+            oddkit.parse_norm_spec(text)
+
+
+def _matrix_free_case():
+    # 47^2 = 2209 rows, so op_norm_l2 takes the ARPACK branch; a diagonal
+    # matrix with one dominant entry has that entry's modulus as its norm
+    rng = np.random.default_rng(5)
+    vals = 0.5 * rng.random((47, 47)) + 0j
+    vals[10, 20] = 1.0 - 2.0j
+    return LatticeMatrix(2, 23, {(0, 0): vals}), abs(1.0 - 2.0j)
+
+
+def test_op_norm_arpack_failure_falls_back(monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr("scipy.sparse.linalg.svds", no_convergence)
+    a, want = _matrix_free_case()
+    assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-9)
+
+
+def test_op_norm_other_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not an ARPACK failure")
+
+    monkeypatch.setattr("scipy.sparse.linalg.svds", broken)
+    a, _ = _matrix_free_case()
+    with pytest.raises(TypeError):
+        oddkit.op_norm_l2(a)
+
+
+def test_diag_matvec_matches_dense():
+    from oddkit.norms import _diag_matvec
+
+    for dim, w in ((1, 4), (2, 2)):
+        a = random_matrix(83 + dim, w, dim=dim, density=0.6)
+        x = np.random.default_rng(dim).standard_normal(a.n_rows) + 0j
+        dense = a.to_dense()
+        assert np.allclose(_diag_matvec(a, x), dense @ x, rtol=1e-13, atol=1e-13)
+        assert np.allclose(_diag_matvec(a, x, conj=True), dense.conj().T @ x, rtol=1e-13, atol=1e-13)
