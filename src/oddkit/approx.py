@@ -21,7 +21,7 @@ import numpy as np
 
 from . import norms as _norms
 from .lattice import band_truncate
-from .smoothness import _lp_combine, _norm_fn, besov_norm_solid_lp
+from .smoothness import _lp_combine, _norm_fn, _stack_values, besov_norm_solid_lp
 
 __all__ = [
     "ApproxSpaceSpec",
@@ -64,26 +64,18 @@ def approx_error(matrix, n, base):
 
 
 def approx_errors(matrix, base, n_max=None):
-    """The error sequence (E_0, ..., E_{n_max}) as an array.
-
-    Envelope-separable bases are swept vectorized; anything else falls back
-    to one truncation per bandwidth.
+    """The error sequence (E_0, ..., E_{n_max}) as an array: the base norm
+    of the tail mask |m|_inf >= n applied to the matrix, one multiplier-stack
+    row per bandwidth n.
     """
     if n_max is None:
         n_max = 2 * matrix.window
-    fn, spec = _norm_fn(base)
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return np.zeros(n_max + 1)
-    reducer = _norms.envelope_reducer(spec, offs) if spec is not None else None
-    if reducer is not None:
-        _, env = matrix.envelope()
-        sup = np.abs(offs).max(axis=1)
-        masks = sup[None, :] >= np.arange(n_max + 1)[:, None]  # (N+1, M)
-        return np.asarray(reducer(env[None, :] * masks), dtype=float)
-    return np.array(
-        [fn(matrix - band_truncate(matrix, n)) for n in range(n_max + 1)], dtype=float
-    )
+    sup = np.abs(offs).max(axis=1)
+    masks = sup[None, :] >= np.arange(n_max + 1)[:, None]  # (N+1, M)
+    return _stack_values(matrix, base, masks)
 
 
 def approx_space_norm(matrix, base, r, p=math.inf, form="sum"):

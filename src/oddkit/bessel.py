@@ -28,7 +28,7 @@ import numpy as np
 
 from . import norms as _norms
 from .lattice import LatticeMatrix
-from .smoothness import _norm_fn, besov_norm_solid_lp
+from .smoothness import _norm_fn, _stack_values, besov_norm_solid_lp
 
 __all__ = [
     "EmbeddingReport",
@@ -190,24 +190,12 @@ def hypersingular_profile(matrix, r, base, quad=None):
         quad = HypersingularQuadrature(r, matrix.dim)
     if quad.dim != matrix.dim or quad.r != r:
         raise ValueError("quadrature object does not match (r, dim)")
-    fn, spec = _norm_fn(base)
     offs = matrix.offset_array()
     eps = np.asarray(quad.eps_grid)
     if offs.shape[0] == 0:
         return eps, np.zeros(len(eps))
     mu = quad.multipliers(offs)  # (M, E)
-    reducer = _norms.envelope_reducer(spec, offs) if spec is not None else None
-    if reducer is not None:
-        _, env = matrix.envelope()
-        vals = np.asarray(reducer(np.abs(mu.T) * env[None, :]), dtype=float)
-    else:
-        vals = np.array(
-            [
-                fn(matrix.scale_diagonals(lambda _o, j=j: mu[:, j].astype(complex)))
-                for j in range(mu.shape[1])
-            ]
-        )
-    return eps, vals
+    return eps, _stack_values(matrix, base, mu.T)
 
 
 def hypersingular_norm(matrix, r, base, quad=None):

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification-property failure, 2 configuration or
 parse error, 3 numerical non-convergence.  A ``key = value`` config file can
 preload any subcommand flag; explicit flags win.  ODD_THREADS seeds the
-default of every ``--threads`` option.
+default of ``report --threads``.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ def _build_parser():
     p.add_argument("--dim", type=int, default=1, choices=(1, 2))
     p.add_argument("--json", dest="json_out", default=None, help="write machine-readable results here")
     p.add_argument("--list", action="store_true", help="list suite names and exit")
-    p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub("report", "finite-section spectral-invariance experiment")
     p.add_argument("--model", default="det")

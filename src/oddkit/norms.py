@@ -32,6 +32,7 @@ __all__ = [
     "Weight",
     "bessel_weight",
     "cpr_norm",
+    "envelope_separable",
     "format_norm_spec",
     "is_solid",
     "jaffard_norm",
@@ -40,6 +41,7 @@ __all__ = [
     "parse_norm_spec",
     "polynomial_weight",
     "schur_norm",
+    "stack_norm",
     "weighted_norm",
 ]
 
@@ -196,14 +198,17 @@ def op_norm_l2(matrix, tol=1e-10):
     return float(best)
 
 
+def _diagonal_weights(offsets, r, weight=None):
+    """v_r(m), times weight(m) when given, on an (M, d) offset array."""
+    w = polynomial_weight(offsets, r)
+    return w if weight is None else w * weight(offsets)
+
+
 def _weighted_envelope(matrix, r, weight=None):
     offs, env = matrix.envelope()
     if offs.shape[0] == 0:
         return offs, env
-    w = polynomial_weight(offs, r)
-    if weight is not None:
-        w = w * weight(offs)
-    return offs, env * w
+    return offs, env * _diagonal_weights(offs, r, weight)
 
 
 def jaffard_norm(matrix, r):
@@ -237,9 +242,7 @@ def schur_norm(matrix, p, r, weight=None):
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
-    w = polynomial_weight(offs, r)
-    if weight is not None:
-        w = w * weight(offs)
+    w = _diagonal_weights(offs, r, weight)
     row_sums, col_sums = matrix.line_power_sums(p, w)
     return float(max(row_sums.max(), col_sums.max()) ** (1.0 / p))
 
@@ -255,9 +258,7 @@ def cpr_norm(matrix, p, r, weight=None, literal=False):
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
-    w = polynomial_weight(offs, r)
-    if weight is not None:
-        w = w * weight(offs)
+    w = _diagonal_weights(offs, r, weight)
     if math.isinf(p):
         _, env = matrix.envelope()
         return float((env * w).max())
@@ -320,52 +321,45 @@ def _coerce_spec(spec):
     return spec
 
 
-# -- envelope fast path -------------------------------------------------------
+# -- multiplier stacks -------------------------------------------------------
 
 
-class DiagReducer:
-    """Vectorized evaluation of an envelope-separable norm.
-
-    For norms that depend on a matrix only through its per-diagonal envelope
-    (jaffard, cpr without ``literal``, schur at p = inf), the value is
-    ``combine_p(w * env)`` for a fixed weight vector w.  Instances reduce the
-    last axis of an arbitrary envelope stack, which is what lets the
-    smoothness module sweep modulation grids without building matrices.
-    """
-
-    def __init__(self, weights, p):
-        self.weights = np.asarray(weights, dtype=float)
-        self.p = float(p)
-
-    def __call__(self, env):
-        env = np.asarray(env, dtype=float)
-        if env.shape[-1] == 0:
-            return np.zeros(env.shape[:-1]) if env.ndim > 1 else 0.0
-        w = env * self.weights
-        if math.isinf(self.p):
-            out = w.max(axis=-1)
-        else:
-            out = (w**self.p).sum(axis=-1) ** (1.0 / self.p)
-        return float(out) if np.ndim(out) == 0 else out
-
-
-def envelope_reducer(spec, offsets):
-    """DiagReducer matching ``matrix_norm(spec)`` on the given offsets,
-    or None when the spec is not envelope-separable."""
+def envelope_separable(spec):
+    """Whether ``matrix_norm(spec)`` depends on a matrix only through its
+    per-diagonal envelope: jaffard, cpr without ``literal`` and every solid
+    kind at p = inf."""
     if not isinstance(spec, NormSpec) or not spec.is_solid:
-        return None
-    if spec.kind == "schur" and not math.isinf(spec.p):
-        return None
-    if spec.kind == "cpr" and spec.literal and not math.isinf(spec.p):
-        return None
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 2:
-        raise ValueError("offsets must be an (M, dim) array")
-    w = polynomial_weight(offsets, spec.r)
-    if spec.weight is not None:
-        w = w * spec.weight(offsets)
-    p = math.inf if spec.kind in ("jaffard", "schur") else spec.p
-    return DiagReducer(w, p)
+        return False
+    return spec.kind == "jaffard" or math.isinf(spec.p) or (spec.kind == "cpr" and not spec.literal)
+
+
+def stack_norm(spec, offsets, env, factors, sup=False):
+    """``matrix_norm(F_k . A, spec)`` for every row F_k of a (K, M) stack of
+    per-diagonal multipliers, from the envelope ``env`` of A on ``offsets``.
+
+    ``env`` may also be a (..., M) stack of envelopes; the result has shape
+    (..., K), or (...) with ``sup=True``, which takes the max over the rows.
+    Sup-type bases evaluate ``((env * |F|) * w).max(-1)``; because rounding
+    is monotone, the max over rows commutes with the max over diagonals, so
+    ``sup=True`` reduces |F| to its column max first and gives the same bits
+    in O(M) instead of O(K M) per envelope.  cpr at p < inf is
+    ``((env * w)^p @ |F|^p.T)^(1/p)``, one matrix product also for a stack
+    of envelopes.  Specs that are not :func:`envelope_separable` raise.
+    """
+    if not envelope_separable(spec):
+        raise ValueError(f"{spec!r} is not envelope-separable")
+    w = _diagonal_weights(offsets, spec.r, spec.weight)
+    env = np.asarray(env, dtype=float)
+    mult = np.abs(np.asarray(factors)).astype(float, copy=False)
+    if spec.kind == "jaffard" or math.isinf(spec.p):
+        if sup:
+            mult = mult.max(axis=0, keepdims=True)
+        out = ((env[..., None, :] * mult) * w).max(axis=-1, initial=0.0)
+        return out[..., 0] if sup else out
+    out = ((env * w) ** spec.p) @ (mult**spec.p).T
+    if sup:
+        out = out.max(axis=-1)
+    return out ** (1.0 / spec.p)
 
 
 # -- string grammar -----------------------------------------------------------

@@ -15,9 +15,12 @@ r > 0, summability p in [1, inf], over a chosen base norm):
 The evaluators agree up to equivalence constants; the ``verify`` module
 measures those constants empirically.
 
-Base norms that depend only on the per-diagonal envelope (see
-:class:`~oddkit.norms.DiagReducer`) get a vectorized path, which also makes
-iterated (reiteration) norms affordable.
+Every evaluator applies a stack of per-diagonal multipliers to the matrix:
+difference magnitudes over the modulation grid, dyadic block masks, or
+smooth partition bands.  Base norms that depend only on the per-diagonal
+envelope evaluate the whole stack at once through
+:func:`~oddkit.norms.stack_norm`, which also makes iterated (reiteration)
+norms affordable; other bases take one scaled matrix per multiplier.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ def _norm_fn(base):
     raise TypeError(f"unsupported base norm {base!r}")
 
 
+def _stack_values(matrix, base, factors):
+    """base(F_k . A) for every row of a (K, M) multiplier stack aligned with
+    the offsets of the matrix: one stack evaluation for envelope-separable
+    bases, one scaled matrix per row for the rest."""
+    fn, spec = _norm_fn(base)
+    if _norms.envelope_separable(spec):
+        offs, env = matrix.envelope()
+        return _norms.stack_norm(spec, offs, env, factors)
+    return np.array([fn(matrix.scale_diagonals(lambda _o, f=f: f)) for f in factors])
+
+
 def t_grid(h, dim, grid):
     """Uniform modulation grid: ``grid`` points per axis spanning [-h, h],
     restricted to |t|_2 <= h.  Endpoints are always included."""
@@ -114,12 +128,10 @@ def modulus(matrix, base, h, order=1, grid=None):
     if offs.shape[0] == 0:
         return 0.0
     pts = t_grid(h, matrix.dim, grid)
-    reducer = _norms.envelope_reducer(spec, offs) if spec is not None else None
-    if reducer is not None:
+    if _norms.envelope_separable(spec):
         _, env = matrix.envelope()
         factors = _difference_factors(offs, pts, order)
-        vals = reducer(env[None, :] * factors)
-        return float(np.max(vals))
+        return float(_norms.stack_norm(spec, offs, env, factors, sup=True))
     return max(fn(difference(matrix, t, order)) for t in pts)
 
 
@@ -149,35 +161,12 @@ def besov_norm_modulus(
         level_max = _default_level_max(matrix.window)
     if level_max < level_min:
         raise ValueError("level_max must be >= level_min")
-    fn, spec = _norm_fn(base)
-    base_val = fn(matrix)
-    offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return float(base_val)
-    levels = range(level_min, level_max + 1)
-    reducer = _norms.envelope_reducer(spec, offs) if spec is not None else None
-    if reducer is not None:
-        if grid is None:
-            grid = _default_grid(matrix.dim)
-        _, env = matrix.envelope()
-        vals = _modulus_levels_env(env, offs, reducer, levels, order, grid, matrix.dim)
-    else:
-        vals = [
-            2.0 ** (r * l) * modulus(matrix, base, 2.0**-l, order=order, grid=grid)
-            for l in levels
-        ]
-        return float(base_val + _lp_combine(vals, p))
-    weighted = [2.0 ** (r * l) * v for l, v in zip(levels, vals)]
-    return float(base_val + _lp_combine(weighted, p))
-
-
-def _modulus_levels_env(env, offsets, reducer, levels, order, grid, dim):
-    out = []
-    for l in levels:
-        pts = t_grid(2.0**-l, dim, grid)
-        factors = _difference_factors(offsets, pts, order)
-        out.append(float(np.max(reducer(env[None, :] * factors))))
-    return out
+    fn, _ = _norm_fn(base)
+    vals = [
+        2.0 ** (r * l) * modulus(matrix, base, 2.0**-l, order=order, grid=grid)
+        for l in range(level_min, level_max + 1)
+    ]
+    return float(fn(matrix) + _lp_combine(vals, p))
 
 
 def _require_solid(spec):
@@ -191,25 +180,15 @@ def besov_norm_solid_lp(matrix, base, r, p=math.inf):
     entering with weight 2^{-r})."""
     if r <= 0:
         raise ValueError("smoothness r must be > 0")
-    fn, spec = _norm_fn(base)
-    _require_solid(spec)
+    _require_solid(_norm_fn(base)[1])
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
-    sup = np.abs(offs).max(axis=1)
-    max_abs = int(sup.max())
-    terms = []
-    k = -1
-    while True:
-        lo = int(math.floor(2.0**k))
-        hi = 2.0 ** (k + 1)
-        mask = (sup >= lo) & (sup < hi)
-        if mask.any():
-            terms.append(2.0 ** (k * r) * fn(matrix.select(mask)))
-        k += 1
-        if 2.0**k > max_abs:
-            break
-    return _lp_combine(terms, p)
+    # block k of offset m: floor(2^k) <= |m|_inf < 2^(k+1), -1 for m = 0
+    block = np.frexp(np.abs(offs).max(axis=1))[1] - 1
+    ks = np.unique(block)
+    vals = _stack_values(matrix, base, block == ks[:, None])
+    return _lp_combine([2.0 ** (k * r) * v for k, v in zip(ks.tolist(), vals)], p)
 
 
 @dataclass(frozen=True)
@@ -271,24 +250,20 @@ def besov_norm_phi_lp(matrix, base, r, p=math.inf, partition=None):
     replaced by the smooth partition bands (k = -1 uses the low-pass)."""
     if r <= 0:
         raise ValueError("smoothness r must be > 0")
-    fn, spec = _norm_fn(base)
-    _require_solid(spec)
+    _require_solid(_norm_fn(base)[1])
     if partition is None:
         partition = DyadicPartition()
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
     max_abs = int(np.abs(offs).max())
-    k_top = int(math.ceil(math.log2(max(max_abs, 1)))) + 1
-    terms = []
-    w = partition.low_pass(offs)
-    if (w != 0).any():
-        terms.append(2.0**-r * fn(matrix.scale_diagonals(lambda _: w)))
-    for k in range(0, k_top + 1):
-        wk = partition.band(k, offs)
-        if (wk != 0).any():
-            terms.append(2.0 ** (k * r) * fn(matrix.scale_diagonals(lambda _: wk)))
-    return _lp_combine(terms, p)
+    ks = np.arange(-1, int(math.ceil(math.log2(max(max_abs, 1)))) + 2)
+    bands = np.array(
+        [partition.low_pass(offs)] + [partition.band(k, offs) for k in ks[1:]]
+    )
+    keep = (bands != 0).any(axis=1)
+    vals = _stack_values(matrix, base, bands[keep])
+    return _lp_combine([2.0 ** (k * r) * v for k, v in zip(ks[keep].tolist(), vals)], p)
 
 
 # -- spec plumbing ------------------------------------------------------------
@@ -451,39 +426,42 @@ def format_besov_spec(spec):
 # -- reiteration --------------------------------------------------------------
 
 
-class _BesovEnvReducer:
-    """besov_norm_modulus as a function of the diagonal envelope.
+def _iterated_modulus_norm(spec, matrix, r, s, p, grid):
+    """The (s, p) modulus norm of the (spec, r, p) modulus norm, from the
+    envelope alone.
 
-    Precomputes the difference magnitudes on every (level, grid point) so the
-    norm of any diagonally rescaled version of the matrix is a pure array
-    reduction.  Used to make iterated smoothness norms tractable.
+    The outer grid scales the envelope into a (T, M) stack, and every inner
+    level is one :func:`~oddkit.norms.stack_norm` call on that stack, so no
+    (T, T, M) array is formed: sup-type bases take O(T M) per level pair and
+    cpr at p < inf one (T, M) @ (M, T) product.
     """
+    offs, env = matrix.envelope()
+    levels = range(0, _default_level_max(matrix.window) + 1)
+    ones = np.ones((1, offs.shape[0]))
 
-    def __init__(self, inner, offsets, r, p, order, levels, grid, dim):
-        self.inner = inner
-        self.r = r
-        self.p = p
-        self.factors = []
-        self.weights = []
-        for l in levels:
-            pts = t_grid(2.0**-l, dim, grid)
-            self.factors.append(_difference_factors(offsets, pts, order))
-            self.weights.append(2.0 ** (r * l))
+    def stacks(order):
+        return [
+            (l, _difference_factors(offs, t_grid(2.0**-l, matrix.dim, grid), order))
+            for l in levels
+        ]
 
-    def __call__(self, env):
-        env = np.asarray(env, dtype=float)
-        base = self.inner(env)
-        level_vals = []
-        for fac, w in zip(self.factors, self.weights):
-            v = self.inner(env[..., None, :] * fac)  # (..., T)
-            level_vals.append(w * np.max(v, axis=-1))
-        stack = np.stack(level_vals, axis=-1)
-        if math.isinf(self.p):
-            mod = stack.max(axis=-1)
-        else:
-            mod = (stack**self.p).sum(axis=-1) ** (1.0 / self.p)
-        out = base + mod
-        return float(out) if np.ndim(out) == 0 else out
+    def besov(norm_max, e, smooth, level_stacks):
+        # norm_max(e, F): max over the rows of F of the norm of F_k . e
+        vals = np.stack(
+            [2.0 ** (smooth * l) * norm_max(e, F) for l, F in level_stacks], axis=-1
+        )
+        mod = vals.max(axis=-1) if math.isinf(p) else (vals**p).sum(axis=-1) ** (1.0 / p)
+        return norm_max(e, ones) + mod
+
+    inner_stacks = stacks(_default_order(r))
+
+    def base_max(e, F):
+        return _norms.stack_norm(spec, offs, e, F, sup=True)
+
+    def inner_max(e, F):
+        return besov(base_max, e[..., None, :] * F, r, inner_stacks).max(axis=-1)
+
+    return float(besov(inner_max, env, s, stacks(_default_order(s))))
 
 
 def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
@@ -493,22 +471,14 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     constants.  Rejects the zero matrix."""
     if r <= 0 or s <= 0:
         raise ValueError("smoothness parameters must be > 0")
-    fn, spec = _norm_fn(base)
-    offs = matrix.offset_array()
-    if offs.shape[0] == 0:
+    _, spec = _norm_fn(base)
+    if matrix.is_zero():
         raise ValueError("reiteration ratio undefined for the zero matrix")
     if grid is None:
         grid = _default_grid(matrix.dim)
-    levels = range(0, _default_level_max(matrix.window) + 1)
-    k_in = _default_order(r)
-    k_out = _default_order(s)
     direct = besov_norm_modulus(matrix, base, r + s, p, grid=grid)
-    reducer = _norms.envelope_reducer(spec, offs) if spec is not None else None
-    if reducer is not None:
-        _, env = matrix.envelope()
-        inner = _BesovEnvReducer(reducer, offs, r, p, k_in, levels, grid, matrix.dim)
-        outer = _BesovEnvReducer(inner, offs, s, p, k_out, levels, grid, matrix.dim)
-        iterated = float(outer(env))
+    if _norms.envelope_separable(spec):
+        iterated = _iterated_modulus_norm(spec, matrix, r, s, p, grid)
     else:
         def inner_fn(x):
             return besov_norm_modulus(x, base, r, p, grid=grid)

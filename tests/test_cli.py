@@ -231,6 +231,15 @@ def test_threads_env_default(monkeypatch):
     assert cli._default_threads() == 1
 
 
+def test_threads_only_on_report(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "2", "--list"])
+    assert exc.value.code == 2
+    out_dir = tmp_path / "rep"
+    assert main(["report", "--W", "16,20", "--threads", "2", "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "report.json").read_text())["config"]["threads"] == 2
+
+
 def test_norm_refuses_bad_matrix_files_exit_2(tmp_path, capsys):
     payload = oddkit.to_json_dict(single_diagonal(3, 1, value=0.5))
     nan_entry = json.loads(json.dumps(payload))

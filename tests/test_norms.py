@@ -6,7 +6,7 @@ import pytest
 
 import oddkit
 from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
-from oddkit.norms import DiagReducer, envelope_reducer
+from oddkit.norms import envelope_separable, stack_norm
 
 from conftest import (
     dense_cpr,
@@ -187,28 +187,58 @@ def test_parameter_domain_warning():
         oddkit.cpr_norm(a, 2, 1.5)
 
 
-def test_envelope_reducer_matches_matrix_norm():
-    a = random_matrix(180, 4, density=0.6)
-    offs = a.offset_array()
-    _, env = a.envelope()
-    for text in ("jaffard:r=1.5", "cpr:p=2,r=1", "schur:p=inf,r=0.5", "w[bessel:r=1]cpr:p=1,r=0"):
+SEPARABLE_SPECS = ("jaffard:r=1.5", "cpr:p=2,r=1", "schur:p=inf,r=0.5", "w[bessel:r=1]cpr:p=1,r=0")
+
+
+def _check_stack_norm(a):
+    offs, env = a.envelope()
+    gen = np.random.default_rng(7)
+    m = offs.shape[0]
+    stack = gen.standard_normal((5, m)) + 1j * gen.standard_normal((5, m))
+    stack[1] = 1.0
+    stack[2] = 0.0
+    stack[3, : m // 2] = 0.0
+    for text in SEPARABLE_SPECS:
         spec = oddkit.parse_norm_spec(text)
-        red = envelope_reducer(spec, offs)
-        assert red is not None
+        assert envelope_separable(spec)
+        got = stack_norm(spec, offs, env, stack)
+        assert got.shape == (5,)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParameterDomainWarning)
-            want = oddkit.matrix_norm(a, spec)
-        assert math.isclose(red(env), want, rel_tol=1e-13)
-    assert envelope_reducer(oddkit.parse_norm_spec("schur:p=2,r=1"), offs) is None
-    assert envelope_reducer(oddkit.parse_norm_spec("op"), offs) is None
+            want = [oddkit.matrix_norm(a.scale_diagonals(lambda _o, f=f: f), spec) for f in stack]
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-13)
+        assert math.isclose(stack_norm(spec, offs, env, stack, sup=True), max(want), rel_tol=1e-13)
+        # a stack of envelopes gives one row of values per envelope
+        both = stack_norm(spec, offs, np.stack([env, 2.0 * env]), stack)
+        assert both.shape == (2, 5)
+        assert np.allclose(both[1], 2.0 * got, rtol=1e-13, atol=0.0)
 
 
-def test_diag_reducer_stacks():
-    red = DiagReducer([1.0, 2.0], 1)
-    stack = np.array([[1.0, 1.0], [0.5, 2.0]])
-    out = red(stack)
-    assert np.allclose(out, [3.0, 4.5])
-    assert red(np.array([1.0, 1.0])) == 3.0
+def test_stack_norm_matches_matrix_norm():
+    for dim, window in ((1, 6), (2, 3)):
+        _check_stack_norm(random_matrix(180, window, dim=dim, density=0.6))
+
+
+def test_stack_norm_stacks_and_refusals():
+    # cpr p=1, r=1 on offsets 0 and 1: weights (1, 2)
+    spec = oddkit.parse_norm_spec("cpr:p=1,r=1")
+    offs = np.array([[0], [1]])
+    out = stack_norm(spec, offs, np.ones(2), np.array([[1.0, 1.0], [0.5, 2.0]]))
+    assert np.array_equal(out, [3.0, 4.5])
+    # sup-type: the max over the stack equals the stacked max bit for bit
+    a = random_matrix(181, 8, density=0.7)
+    offs, env = a.envelope()
+    stack = np.abs(np.random.default_rng(3).standard_normal((9, offs.shape[0])))
+    for text in ("jaffard:r=0.5", "schur:p=inf,r=0", "cpr:p=inf,r=2,literal=true"):
+        spec = oddkit.parse_norm_spec(text)
+        assert stack_norm(spec, offs, env, stack, sup=True) == stack_norm(spec, offs, env, stack).max()
+    for text in ("schur:p=2,r=1", "schur:p=1,r=0", "cpr:p=1,r=0,literal=true", "op"):
+        spec = oddkit.parse_norm_spec(text)
+        assert not envelope_separable(spec)
+        with pytest.raises(ValueError):
+            stack_norm(spec, offs, env, stack)
+    assert not envelope_separable(None)
 
 
 def test_grammar_round_trip():

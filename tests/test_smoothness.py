@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import oddkit
-from oddkit import BesovSpec, DyadicPartition, LatticeMatrix, NormSpec
+from oddkit import BesovSpec, DyadicPartition, LatticeMatrix, NormSpec, ParameterDomainWarning
 from oddkit.smoothness import _default_level_max
 
 from conftest import random_matrix, single_diagonal
@@ -272,6 +274,46 @@ def test_reiteration_fast_path_matches_generic():
     fast = oddkit.reiteration_ratio(a, NormSpec("jaffard", r=0.0), 0.5, 0.5)
     slow = oddkit.reiteration_ratio(a, lambda m: oddkit.jaffard_norm(m, 0.0), 0.5, 0.5)
     assert math.isclose(fast, slow, rel_tol=1e-10)
+
+
+def _generic(spec):
+    return lambda m: oddkit.matrix_norm(m, spec)
+
+
+def test_reiteration_stack_paths_match_generic():
+    # cpr at p = 2 takes the matrix-product path, jaffard at p = 1 the
+    # commuted-max path with an l^1 sum over levels; r != s tells the inner
+    # norm from the outer one
+    a = decay_matrix(11, 6)
+    cases = ((NormSpec("cpr", p=2.0, r=0.0), 2.0, 0.5, 1.5), (NormSpec("jaffard", r=0.0), 1.0, 1.5, 0.5))
+    for spec, p, r, s in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParameterDomainWarning)
+            fast = oddkit.reiteration_ratio(a, spec, r, s, p, grid=16)
+            slow = oddkit.reiteration_ratio(a, _generic(spec), r, s, p, grid=16)
+        assert math.isclose(fast, slow, rel_tol=1e-10)
+
+
+def test_reiteration_fast_path_matches_generic_d2():
+    a = decay_matrix(12, 2, dim=2)
+    for spec in (NormSpec("jaffard", r=0.0), NormSpec("cpr", p=1.0, r=0.0)):
+        fast = oddkit.reiteration_ratio(a, spec, 0.5, 0.5, grid=8)
+        slow = oddkit.reiteration_ratio(a, _generic(spec), 0.5, 0.5, grid=8)
+        assert math.isclose(fast, slow, rel_tol=1e-10)
+
+
+def test_reiteration_memory_bounded_d2():
+    # the nested levels never form a (T, T, M) array: at d=2 W=2 on the
+    # default grid that array alone is about 350 MB
+    a = oddkit.generate(oddkit.DecayModel("det", 2.0), 2, dim=2)
+    for base in ("jaffard:r=0", "cpr:p=2,r=1.5"):
+        tracemalloc.start()
+        try:
+            oddkit.reiteration_ratio(a, base, 0.5, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 def test_continuity_defect():
