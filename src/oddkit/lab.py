@@ -191,26 +191,13 @@ class DecayProfile:
 
 
 def _interior_envelope(matrix):
-    """Per-diagonal sup of |entries| over the central 50% of rows."""
-    half = matrix.window // 2
-    n = 2 * matrix.window + 1
-    dists, vals = [], []
-    for off, arr in matrix.diagonals():
-        slices = []
-        empty = False
-        for m in off:
-            lo_k = -matrix.window + max(0, m)  # first row of this diagonal
-            start = max(0, -half - lo_k)
-            stop = (n - abs(m)) - max(0, (matrix.window + min(0, m)) - half)
-            if stop <= start:
-                empty = True
-                break
-            slices.append(slice(start, stop))
-        if empty:
-            continue
-        dists.append(math.sqrt(sum(m * m for m in off)))
-        vals.append(float(np.abs(arr[tuple(slices)]).max()))
-    return np.asarray(dists), np.asarray(vals)
+    """|m|_2 and the sup of |entries| over the central 50% of rows
+    (|k|_inf <= W // 2) of every diagonal m that has such rows."""
+    k = np.indices((2 * matrix.window + 1,) * matrix.dim).reshape(matrix.dim, -1)
+    interior = (np.abs(k - matrix.window) <= matrix.window // 2).all(axis=0)
+    offs, sups = matrix.envelope(rows=interior)
+    keep = sups >= 0
+    return np.sqrt((offs[keep] ** 2).sum(axis=1)), sups[keep]
 
 
 def decay_profile(matrix, fit_lo=None, fit_hi=None, min_points=8):

@@ -16,10 +16,10 @@ All stored diagonals share one packed, read-only complex128 buffer: an
 index and length in the buffer, its rows flattened in C order.  A multiplier
 on the diagonals is then one vector operation on the buffer (``buf *
 np.repeat(f, lengths)``), a per-diagonal reduction is one ``reduceat`` over
-the start indices, and the dense window matrix is one scatter through a
-flat index map (cached per (d, W) up to 2^20 dense entries).  Only this
-module reads the layout; the rest of the package goes through the methods
-of :class:`LatticeMatrix`.
+the start indices, the dense row and column of every entry come in
+O(stored entries), and the dense window matrix is one scatter (a flat map
+cached per (d, W) up to 2^20 dense entries).  Only this module reads the
+layout; the rest of the package goes through :class:`LatticeMatrix`.
 
 Lattice indices are plain tuples of ints; offsets may be given as bare ints
 when d = 1.
@@ -87,47 +87,61 @@ def _keys(window, offs):
     return keys
 
 
-# Full layouts of at most this many entries (4 MB of int32 index map) are
-# cached; larger ones are rebuilt per call, which costs two passes over the
-# map against the O(n^3) dense work that windows of that size go with.
-_CACHED_LAYOUT_ENTRIES = 2**20
-
-
-def _full_layout(dim, window):
-    """Every offset of the window in sorted order, the buffer start and
-    length of each diagonal and, for each entry of the full buffer, its
-    index in the flattened dense window matrix (int32 where that fits)."""
-    if (2 * window + 1) ** (2 * dim) <= _CACHED_LAYOUT_ENTRIES:
-        return _cached_layout(dim, window)
-    return _build_layout(dim, window)
-
-
-def _build_layout(dim, window):
+def _coordinates(window, offs, lens):
+    """Dense row and column (int32 where that fits) of every entry of a
+    buffer laid out on the sorted offset table ``offs``."""
+    dim = offs.shape[1]
     n = 2 * window + 1
-    n_rows = n**dim
-    axis = np.arange(-2 * window, 2 * window + 1, dtype=np.int64)
-    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     extent = n - np.abs(offs)
-    lens = extent.prod(axis=1)
-    starts = np.cumsum(lens) - lens
+    powers = n ** np.arange(dim - 1, -1, -1)
     # The buffer is a run of lines along the last axis, and along a line
-    # both the row and the column step by one: the dense index steps by
-    # n_rows + 1.  So the map needs only the first entry of every line.
+    # both the row and the column step by one: each line needs only its
+    # first row minus its buffer position, and col = row - m . powers.
     per_diag = extent[:, :-1].prod(axis=1)
     diag = np.repeat(np.arange(offs.shape[0]), per_diag)
     line = np.arange(diag.size) - np.repeat(np.cumsum(per_diag) - per_diag, per_diag)
-    powers = n ** np.arange(dim - 1, -1, -1)
-    first_row = np.maximum(offs, 0)[diag] @ powers + line * powers[0]
-    first = first_row * (n_rows + 1) - (offs @ powers)[diag]
     line_len = extent[diag, -1]
-    dtype = np.int32 if n_rows * n_rows < 2**31 else np.intp
-    flat = np.arange(int(lens.sum()), dtype=dtype)
-    flat -= np.repeat((starts[diag] + line * line_len).astype(dtype), line_len)
-    flat *= n_rows + 1
-    flat += np.repeat(first.astype(dtype), line_len)
-    for arr in (offs, starts, lens, flat):
+    shift = np.maximum(offs, 0) @ powers - (np.cumsum(lens) - lens)
+    shift = shift[diag] + line * (powers[0] - line_len)
+    total = int(lens.sum())
+    dtype = np.int32 if max(total, n**dim) < 2**31 else np.intp
+    rows = np.repeat(shift.astype(dtype), line_len)
+    rows += np.arange(total, dtype=dtype)
+    cols = np.repeat(-(offs @ powers).astype(dtype), lens)
+    cols += rows
+    return rows, cols
+
+
+# Full layouts of at most this many entries (4 MB of int32 index map) are
+# cached.  Past that, to_dense maps only the stored entries and from_dense
+# rebuilds the layout per call, a few passes over the map against the
+# O(n^3) dense work that windows of that size go with.
+_CACHED_LAYOUT_ENTRIES = 2**20
+
+
+def _small_layout(dim, window):
+    """The cached full layout of a window of at most _CACHED_LAYOUT_ENTRIES
+    dense entries, None for a larger window."""
+    if (2 * window + 1) ** (2 * dim) <= _CACHED_LAYOUT_ENTRIES:
+        return _cached_layout(dim, window)
+    return None
+
+
+def _build_layout(dim, window):
+    """Every offset of the window in sorted order, the buffer start and
+    length of each diagonal and, for each entry of the full buffer, its
+    index in the flattened dense window matrix (int32 where that fits)."""
+    axis = np.arange(-2 * window, 2 * window + 1, dtype=np.int64)
+    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    lens = _lengths(window, offs)
+    rows, cols = _coordinates(window, offs, lens)
+    flat = rows.astype(np.int32 if rows.size < 2**31 else np.intp)  # n_rows^2 entries
+    flat *= (2 * window + 1) ** dim
+    flat += cols
+    layout = (offs, np.cumsum(lens) - lens, lens, flat)
+    for arr in layout:
         arr.setflags(write=False)
-    return offs, starts, lens, flat
+    return layout
 
 
 _cached_layout = functools.lru_cache(maxsize=8)(_build_layout)
@@ -253,7 +267,7 @@ class LatticeMatrix:
             window = (side - 1) // 2
         if side != 2 * window + 1 or window < 1:
             raise ValueError("dense size does not match window")
-        offs, _, lens, flat = _full_layout(dim, window)
+        offs, _, lens, flat = _small_layout(dim, window) or _build_layout(dim, window)
         buf = dense.ravel()[flat]
         if not np.isfinite(buf).all():
             raise ValueError("dense matrix has non-finite entries")
@@ -301,17 +315,32 @@ class LatticeMatrix:
         start = int(self._starts[i])
         return self._buf[start : start + int(self._lens[i])].reshape(shape)
 
-    def envelope(self):
-        """Per-diagonal sup of |entries|, aligned with :meth:`offset_array`."""
+    def envelope(self, rows=None):
+        """Per-diagonal sup of |entries|, aligned with :meth:`offset_array`.
+
+        With ``rows``, a boolean mask over the rows of :meth:`to_dense`, the
+        sup runs over the entries in those rows, and is -inf for a diagonal
+        that has none.
+        """
         if self.is_zero():
             return self._offs, np.zeros(0)
-        return self._offs, np.maximum.reduceat(np.abs(self._buf), self._starts)
+        mags = np.abs(self._buf)
+        if rows is not None:
+            mags[~np.asarray(rows)[self.coordinates()[0]]] = -np.inf
+        return self._offs, np.maximum.reduceat(mags, self._starts)
 
     def diagonal_power_sums(self, p):
         """Per-diagonal sum of |entries|^p, aligned with :meth:`offset_array`."""
         if self.is_zero():
             return np.zeros(0)
         return np.add.reduceat(np.abs(self._buf) ** p, self._starts)
+
+    def coordinates(self):
+        """``(rows, cols, values)``: the :meth:`to_dense` row and column
+        (int32) of every buffer entry in buffer order, and the read-only
+        buffer; computed from the stored offsets in O(stored entries)."""
+        rows, cols = _coordinates(self.window, self._offs, self._lens)
+        return rows, cols, self._buf
 
     def line_power_sums(self, p, weights):
         """Row and column sums of weights(m)^p |A(k, l)|^p, m = k - l.
@@ -320,8 +349,8 @@ class LatticeMatrix:
         of length :attr:`n_rows` indexed like the rows of :meth:`to_dense`.
         """
         n_rows = self.n_rows
-        powed = np.abs(self._buf) ** p * np.repeat(np.asarray(weights) ** p, self._lens)
-        rows, cols = np.divmod(self._dense_index(), n_rows)
+        rows, cols, vals = self.coordinates()
+        powed = np.abs(vals) ** p * np.repeat(np.asarray(weights) ** p, self._lens)
         return (
             np.bincount(rows, powed, minlength=n_rows),
             np.bincount(cols, powed, minlength=n_rows),
@@ -329,7 +358,11 @@ class LatticeMatrix:
 
     def _dense_index(self):
         """Index of every buffer entry in the flattened dense matrix."""
-        full_offs, full_starts, _, flat = _full_layout(self.dim, self.window)
+        layout = _small_layout(self.dim, self.window)
+        if layout is None:
+            rows, cols, _ = self.coordinates()  # no window-sized map
+            return rows.astype(np.intp) * self.n_rows + cols
+        full_offs, full_starts, _, flat = layout
         if self._offs.shape[0] == full_offs.shape[0]:
             return flat
         at = full_starts[_keys(self.window, self._offs)]

@@ -17,7 +17,6 @@ and a small string grammar, e.g. ``jaffard:r=2`` or
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -118,57 +117,37 @@ def is_solid(spec):
 # -- the norms ---------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=2)
-def _coupled_slices(dim, window, offsets_bytes):
-    """Per stored offset m: the slices of the window grid holding the rows
-    k and the columns k - m that diagonal m couples."""
-    n = 2 * window + 1
-    offsets = np.frombuffer(offsets_bytes, dtype=np.int64).reshape(-1, dim)
-    return [
-        (
-            tuple(slice(max(0, m), n + min(0, m)) for m in off),
-            tuple(slice(max(0, -m), n + min(0, -m)) for m in off),
-        )
-        for off in offsets.tolist()
-    ]
-
-
-def _diag_matvec(matrix, x, conj=False):
-    """A @ x (or A* @ x) straight from diagonal storage; x is flat."""
-    shape = (2 * matrix.window + 1,) * matrix.dim
-    xg = np.asarray(x).reshape(shape)
-    out = np.zeros(shape, dtype=np.complex128)
-    slices = _coupled_slices(matrix.dim, matrix.window, matrix.offset_array().tobytes())
-    for (_, arr), (row_sl, col_sl) in zip(matrix.diagonals(), slices):
-        if conj:
-            out[col_sl] += arr.conj() * xg[row_sl]
-        else:
-            out[row_sl] += arr * xg[col_sl]
-    return out.ravel()
+def _diag_matvec(op, x, conj=False):
+    """op @ x, or conj(op) @ x without a conjugated copy of op; every product
+    of the ARPACK and power-iteration paths goes through here."""
+    if conj:
+        return (op @ np.conj(x)).conj()
+    return op @ x
 
 
 def op_norm_l2(matrix, tol=1e-10):
     """Operator norm on l^2 of the window (largest singular value).
 
-    Windows up to 2048 rows go through a dense SVD; larger ones stay in
-    diagonal storage and use ARPACK on the implicit matrix (svds, k=1).
+    Windows up to 2048 rows go through a dense SVD.  Larger ones run ARPACK
+    (svds, k=1), or power iteration on A*A where ARPACK fails, over a COO
+    array on :meth:`LatticeMatrix.coordinates`, built per call: O(stored
+    entries) memory, dropped on return.
     """
     if matrix.is_zero():
         return 0.0
     n = matrix.n_rows
     if n <= 2048:
         return float(np.linalg.svd(matrix.to_dense(), compute_uv=False)[0])
-    from scipy.sparse.linalg import (
-        ArpackError,
-        ArpackNoConvergence,
-        LinearOperator,
-        svds,
-    )
+    from scipy.sparse import coo_array
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
+    rows, cols, vals = matrix.coordinates()
+    coo = coo_array((vals, (rows, cols)), shape=(n, n))
+    coo_t = coo.T  # A* x = conj(A.T conj(x)); one transposed view, not one per product
     op = LinearOperator(
         (n, n),
-        matvec=lambda x: _diag_matvec(matrix, x),
-        rmatvec=lambda x: _diag_matvec(matrix, x, conj=True),
+        matvec=lambda x: _diag_matvec(coo, x),
+        rmatvec=lambda x: _diag_matvec(coo_t, x, conj=True),
         dtype=np.complex128,
     )
     rng = np.random.default_rng(0x5EED)
@@ -185,7 +164,7 @@ def op_norm_l2(matrix, tol=1e-10):
         v /= np.linalg.norm(v)
         lam = 0.0
         for _ in range(10_000):
-            w = _diag_matvec(matrix, _diag_matvec(matrix, v), conj=True)
+            w = _diag_matvec(coo_t, _diag_matvec(coo, v), conj=True)
             lam = float(np.real(np.vdot(v, w)))
             # |lam - lam_true| <= ||B v - lam v|| for Hermitian B = A*A
             if np.linalg.norm(w - lam * v) <= 1e-9 * max(lam, 1e-300):

@@ -2,7 +2,8 @@
 
 Everything here works entrywise on the dense window matrix, deliberately
 ignoring the package's diagonal-major layout, so agreement between the two
-is a real cross-check rather than the same code run twice.
+is a real cross-check rather than the same code run twice.  The one
+exception is ``coo_operator``, which builds the sparse operator under test.
 """
 
 import math
@@ -87,6 +88,15 @@ def random_matrix(seed, window, dim=1, density=1.0, scale=1.0):
     if density < 1.0:
         dense[rng.random((n, n)) >= density] = 0.0
     return LatticeMatrix.from_dense(dense, dim=dim, window=window)
+
+
+def coo_operator(matrix):
+    """The window matrix as a scipy COO array on ``matrix.coordinates()``,
+    the operator that ``op_norm_l2`` hands to ARPACK."""
+    from scipy.sparse import coo_array
+
+    rows, cols, vals = matrix.coordinates()
+    return coo_array((vals, (rows, cols)), shape=(matrix.n_rows,) * 2)
 
 
 def single_diagonal(window, offset, value=1.0, dim=1):

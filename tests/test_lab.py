@@ -5,9 +5,9 @@ import pytest
 
 import oddkit
 from oddkit import DecayModel, LatticeMatrix, SingularSectionError
-from oddkit.lab import corpus, report_csv_rows
+from oddkit.lab import _interior_envelope, corpus, report_csv_rows
 
-from conftest import offset_grid, single_diagonal
+from conftest import offset_grid, random_matrix, single_diagonal
 
 
 def test_model_validation_and_aliases():
@@ -169,3 +169,35 @@ def test_spectral_invariance_report_threads_agree():
         model, (16, 20), norms=("jaffard:r=2.5",), threads=2
     )
     assert one.to_dict() == two.to_dict()
+
+
+def test_interior_envelope_matches_dense():
+    for dim, w in ((1, 9), (2, 4)):
+        full = random_matrix(40 + dim, w, dim=dim, density=0.7)
+        for a in (full, oddkit.band_truncate(full, w), full.select(full.offset_array()[:, 0] != 1)):
+            dense = np.abs(a.to_dense())
+            diff = offset_grid(dim, w)
+            k = np.stack(np.unravel_index(np.arange(dense.shape[0]), (2 * w + 1,) * dim)) - w
+            interior = (np.abs(k) <= w // 2).all(axis=0)
+            want_d, want_v = [], []
+            for off in a.offset_array():
+                mask = (diff == off).all(axis=-1) & interior[:, None]
+                if mask.any():
+                    want_d.append(math.sqrt(float((off**2).sum())))
+                    want_v.append(dense[mask].max())
+            dists, vals = _interior_envelope(a)
+            assert np.array_equal(dists, want_d)
+            assert np.array_equal(vals, want_v)
+
+
+def test_report_cell_matches_dense_inversion():
+    model = DecayModel("mag", 2.5, seed=4)
+    rep = oddkit.spectral_invariance_report(model, (16,), norms=("jaffard:r=2.5",))
+    b = oddkit.make_invertible(oddkit.generate(model, 16))
+    svals = np.linalg.svd(b.to_dense(), compute_uv=False)
+    cell = rep.cells[0]
+    assert cell.op_norm_forward == svals[0]
+    assert cell.condition == svals[0] / svals[-1]
+    b_inv = oddkit.invert_finite_section(b)
+    assert cell.norms["jaffard:r=2.5"]["inverse"] == oddkit.matrix_norm(b_inv, "jaffard:r=2.5")
+    assert cell.profile_inverse == oddkit.decay_profile(b_inv)

@@ -140,6 +140,11 @@ def test_envelope_matches_dense_sup():
     for off, e in zip(offs, env):
         mask = diff == off[0]
         assert math.isclose(e, float(np.abs(dense[mask]).max()))
+    rows = np.arange(7) >= 5  # rows k = 2, 3 only
+    _, env = a.envelope(rows=rows)
+    for off, e in zip(offs, env):
+        mask = (diff == off[0]) & rows[:, None]
+        assert e == (np.abs(dense[mask]).max() if mask.any() else -np.inf)
 
 
 def test_modulate_fixed_points():
@@ -248,6 +253,35 @@ def test_dense_round_trip():
     for dim, w in ((1, 4), (2, 2)):
         a = random_matrix(60 + dim, w, dim=dim, density=0.5)
         assert LatticeMatrix.from_dense(a.to_dense(), dim=dim, window=w) == a
+
+
+def _scattered_dense(matrix):
+    """Dense window matrix placed diagonal by diagonal from lattice rows."""
+    n = 2 * matrix.window + 1
+    shape = (n,) * matrix.dim
+    dense = np.zeros((n**matrix.dim,) * 2, dtype=complex)
+    for off, arr in matrix.diagonals():
+        axes = [np.arange(max(m, 0), n + min(m, 0)) for m in off]
+        rows = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, matrix.dim)
+        cols = rows - np.asarray(off)
+        dense[np.ravel_multi_index(rows.T, shape), np.ravel_multi_index(cols.T, shape)] = arr.ravel()
+    return dense
+
+
+def test_coordinates_and_dense_on_windows_past_the_cached_layout():
+    # 1201^2 and 1089^2 dense entries: more than the cached full layouts
+    # hold, so partial offset tables go through coordinates() alone
+    for dim, w, band in ((1, 600, 3), (2, 16, 2)):
+        a = oddkit.generate(oddkit.DecayModel("phase", 2.0, seed=dim), w, dim=dim, band=band)
+        thinned = a.select(a.offset_array().sum(axis=1) % 2 == 0)
+        for m in (a, thinned):
+            dense = _scattered_dense(m)
+            rows, cols, vals = m.coordinates()
+            assert rows.dtype == cols.dtype == np.int32
+            assert np.array_equal(dense[rows, cols], vals)
+            assert np.count_nonzero(dense) == vals.size
+            assert np.array_equal(m.to_dense(), dense)
+            assert LatticeMatrix.from_dense(dense, dim=dim, window=w) == m
 
 
 def test_json_round_trip_bit_exact(tmp_path):

@@ -9,6 +9,7 @@ from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
 from oddkit.norms import envelope_separable, stack_norm
 
 from conftest import (
+    coo_operator,
     dense_cpr,
     dense_jaffard,
     dense_schur,
@@ -322,9 +323,91 @@ def test_op_norm_other_errors_propagate(monkeypatch):
 def test_diag_matvec_matches_dense():
     from oddkit.norms import _diag_matvec
 
+    rng = np.random.default_rng(11)
     for dim, w in ((1, 4), (2, 2)):
-        a = random_matrix(83 + dim, w, dim=dim, density=0.6)
-        x = np.random.default_rng(dim).standard_normal(a.n_rows) + 0j
-        dense = a.to_dense()
-        assert np.allclose(_diag_matvec(a, x), dense @ x, rtol=1e-13, atol=1e-13)
-        assert np.allclose(_diag_matvec(a, x, conj=True), dense.conj().T @ x, rtol=1e-13, atol=1e-13)
+        full = random_matrix(83 + dim, w, dim=dim, density=0.6)
+        banded = oddkit.band_truncate(full, w)  # offsets up to w - 1 < 2W
+        thinned = full.select(full.offset_array().sum(axis=1) % 3 != 1)
+        assert len(banded.offsets()) < len(full.offsets())
+        assert len(thinned.offsets()) < len(full.offsets())
+        for a in (full, banded, thinned):
+            dense = a.to_dense()
+            op = coo_operator(a)
+            x = rng.standard_normal(a.n_rows) + 1j * rng.standard_normal(a.n_rows)
+            assert np.allclose(_diag_matvec(op, x), dense @ x, rtol=1e-13, atol=1e-13)
+            assert np.allclose(
+                _diag_matvec(op.T, x, conj=True), dense.conj().T @ x, rtol=1e-13, atol=1e-13
+            )
+            assert np.allclose(
+                _diag_matvec(op, x, conj=True), dense.conj() @ x, rtol=1e-13, atol=1e-13
+            )
+
+
+def _constant_diagonals(dim, window, values):
+    diags = {}
+    for off, value in values.items():
+        shape = tuple(2 * window + 1 - abs(m) for m in off)
+        diags[off] = np.full(shape, value, dtype=complex)
+    return LatticeMatrix(dim, window, diags)
+
+
+def test_op_norm_arpack_kronecker_sum_d2():
+    # 47^2 = 2209 rows: the ARPACK branch.  a I + b (S_10 + S_01) + conj(b)
+    # (S_-10 + S_0-1) is a Kronecker sum of Hermitian tridiagonal Toeplitz
+    # matrices of size 47, with the eigenvalues
+    # a + 2|b| (cos(pi j / 48) + cos(pi k / 48)), j, k = 1..47; the largest
+    # modulus is a + 4|b| cos(pi / 48).
+    a, b = 1.0, 0.3 - 0.4j
+    m = _constant_diagonals(
+        2,
+        23,
+        {(0, 0): a, (1, 0): b, (0, 1): b, (-1, 0): np.conj(b), (0, -1): np.conj(b)},
+    )
+    want = a + 4 * abs(b) * math.cos(math.pi / 48)
+    assert math.isclose(oddkit.op_norm_l2(m), want, rel_tol=1e-9)
+
+
+def test_op_norm_arpack_tridiagonal_toeplitz_d1():
+    # 2049 rows: the ARPACK branch.  The Hermitian tridiagonal Toeplitz
+    # matrix with a on the diagonal and b, conj(b) beside it has the
+    # eigenvalues a + 2|b| cos(pi j / 2050), so its norm is
+    # |a| + 2|b| cos(pi / 2050).  The top of that spectrum is clustered
+    # (gaps of order 1/n^2) and ARPACK needs about 20k products at the
+    # default tol; tol=1e-4 takes 9k and still gives the closed form to
+    # about 1e-14 here.
+    a, b = 0.5, 1.0 - 1.0j
+    m = _constant_diagonals(1, 1024, {(0,): a, (1,): b, (-1,): np.conj(b)})
+    want = abs(a) + 2 * abs(b) * math.cos(math.pi / 2050)
+    assert math.isclose(oddkit.op_norm_l2(m, tol=1e-4), want, rel_tol=1e-9)
+
+
+def test_banded_norms_stay_in_stored_entries():
+    import tracemalloc
+
+    import scipy.sparse.linalg  # noqa: F401  (imported before tracing)
+
+    a = oddkit.generate(oddkit.DecayModel("mag", 2.5, seed=1), 4000, band=1)
+    n = a.n_rows
+    rows, cols = np.zeros(n), np.zeros(n)
+    for (m,), arr in a.diagonals():
+        rows[max(m, 0) : n + min(m, 0)] += np.abs(arr)
+        cols[max(-m, 0) : n + min(-m, 0)] += np.abs(arr)
+    peaks = {}
+    values = {}
+    for name, fn in (
+        ("schur", lambda: oddkit.matrix_norm(a, "schur:p=1,r=0")),
+        ("op", lambda: oddkit.op_norm_l2(a)),
+    ):
+        tracemalloc.start()
+        try:
+            values[name] = fn()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    # 24k stored entries in an 8001-row window: a dense matrix or a
+    # window-sized index map (64M entries) would not fit in 16 MB
+    assert peaks["schur"] < 16 and peaks["op"] < 16, peaks
+    assert math.isclose(values["schur"], max(rows.max(), cols.max()), rel_tol=1e-12)
+    _, env = a.envelope()
+    assert env.max() <= values["op"] * (1 + 1e-12)
+    assert values["op"] <= values["schur"] * (1 + 1e-12)

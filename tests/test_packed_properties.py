@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import oddkit
 from oddkit import LatticeMatrix
+from oddkit.norms import _diag_matvec
 
 from conftest import (
+    coo_operator,
     dense_cpr,
     dense_difference,
     dense_modulate,
@@ -62,6 +64,29 @@ def test_dense_round_trip_and_canonical_offsets(case):
     assert a.offsets() == stored_offsets(dense, diff)
     assert a.is_zero() == (not dense.any())
     assert LatticeMatrix(dim, window, dict(a.diagonals())) == a
+
+
+@SETTINGS
+@given(dense_cases())
+def test_coordinates_scatter_and_sparse_products_match_dense(case):
+    dim, window, dense, _ = case
+    a = LatticeMatrix.from_dense(dense, dim=dim, window=window)
+    rows, cols, vals = a.coordinates()
+    assert rows.dtype == cols.dtype == np.int32
+    stored = sum(arr.size for _, arr in a.diagonals())
+    assert rows.size == cols.size == vals.size == stored
+    scattered = np.zeros_like(dense)
+    scattered[rows, cols] = vals
+    assert np.array_equal(scattered, dense)
+    n = dense.shape[0]
+    assert np.unique(rows.astype(np.int64) * n + cols).size == rows.size
+    op = coo_operator(a)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.allclose(_diag_matvec(op, x), dense @ x, rtol=1e-12, atol=1e-12)
+    assert np.allclose(
+        _diag_matvec(op.T, x, conj=True), dense.conj().T @ x, rtol=1e-12, atol=1e-12
+    )
 
 
 @SETTINGS
