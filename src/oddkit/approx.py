@@ -21,10 +21,9 @@ import numpy as np
 
 from . import norms as _norms
 from .lattice import band_truncate
-from .smoothness import _lp_combine, _norm_fn, _stack_values, besov_norm_solid_lp
+from .smoothness import _check_smoothness, _lp_combine, _norm_fn, _stack_values, besov_norm_solid_lp
 
 __all__ = [
-    "ApproxSpaceSpec",
     "CprShiftReport",
     "approx_error",
     "approx_errors",
@@ -34,25 +33,6 @@ __all__ = [
 ]
 
 _FORMS = ("sum", "dyadic")
-
-
-@dataclass(frozen=True)
-class ApproxSpaceSpec:
-    """Approximation-space parameters: base norm, smoothness r > 0,
-    summability p and the aggregation form ("sum" or "dyadic")."""
-
-    base: object
-    r: float
-    p: float = math.inf
-    form: str = "sum"
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("smoothness r must be > 0")
-        if not (self.p >= 1):
-            raise ValueError("p must be in [1, inf]")
-        if self.form not in _FORMS:
-            raise ValueError(f"unknown form {self.form!r}")
 
 
 def approx_error(matrix, n, base):
@@ -88,8 +68,7 @@ def approx_space_norm(matrix, base, r, p=math.inf, form="sum"):
     """
     if form not in _FORMS:
         raise ValueError(f"unknown form {form!r}")
-    if r <= 0:
-        raise ValueError("smoothness r must be > 0")
+    _check_smoothness(r, p)
     errors = approx_errors(matrix, base)
     n = np.arange(errors.size, dtype=float)
     if form == "sum":
@@ -138,8 +117,7 @@ class CprShiftReport:
 def cpr_shift_identity_check(matrix, p, q, r, s, form="sum"):
     """Compare E^q_s over cpr(p, r) with E^q_{s+r} over cpr(p, 0), and when
     p == q also with the plain cpr(p, r + s) norm."""
-    if s <= 0:
-        raise ValueError("smoothness s must be > 0")
+    _check_smoothness(s, q)
     if matrix.is_zero():
         raise ValueError("check undefined for the zero matrix")
     base_r = _norms.NormSpec("cpr", p=p, r=r)

@@ -36,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "LatticeMatrix",
-    "add",
     "adjoint",
     "band_truncate",
     "bandwidth",
@@ -48,7 +47,6 @@ __all__ = [
     "modulate",
     "multiply",
     "save_json",
-    "side_diagonal",
     "to_json_dict",
 ]
 
@@ -509,11 +507,6 @@ def _drop_zero(offs, buf, lens):
 # -- free-function interface ------------------------------------------------
 
 
-def side_diagonal(matrix, offset):
-    """Entries A(k, k-m) of one side diagonal (zeros if absent)."""
-    return matrix.side_diagonal(offset)
-
-
 def bandwidth(matrix):
     """Smallest N such that every stored offset has \\|m\\|_inf < N (0 for zero)."""
     offs = matrix.offset_array()
@@ -531,10 +524,6 @@ def band_truncate(matrix, n):
     if n < 0:
         raise ValueError("bandwidth must be >= 0")
     return matrix.select(np.abs(matrix.offset_array()).max(axis=1, initial=0) < n)
-
-
-def add(a, b):
-    return a + b
 
 
 def multiply(a, b):

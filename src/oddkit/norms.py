@@ -9,6 +9,14 @@ side diagonal, which keeps every weight a per-diagonal multiplier:
   (with a ``literal`` variant that sums entry powers inside each diagonal),
 * ``weighted_norm``: any solid base norm after a diagonal weight.
 
+Every solid norm except Schur at p < inf reads one number per diagonal
+(:func:`diagonal_values`: the envelope, or the l^p norm of the diagonal for
+literal cpr), and a per-diagonal multiplier F scales that number by |F_m|.
+Their one formula is :func:`stack_norm`, which evaluates a whole (K, M)
+stack of multipliers at once; ``jaffard_norm``, ``cpr_norm`` and
+``schur_norm`` at p = inf are its single row F = 1.  Schur at p < inf sums
+rows and columns through :meth:`LatticeMatrix.line_power_sums`.
+
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
 window).  Norms are addressed programmatically through :class:`NormSpec`
 and a small string grammar, e.g. ``jaffard:r=2`` or
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +39,8 @@ __all__ = [
     "Weight",
     "bessel_weight",
     "cpr_norm",
-    "envelope_separable",
+    "diagonal_separable",
+    "diagonal_values",
     "format_norm_spec",
     "is_solid",
     "jaffard_norm",
@@ -183,17 +192,9 @@ def _diagonal_weights(offsets, r, weight=None):
     return w if weight is None else w * weight(offsets)
 
 
-def _weighted_envelope(matrix, r, weight=None):
-    offs, env = matrix.envelope()
-    if offs.shape[0] == 0:
-        return offs, env
-    return offs, env * _diagonal_weights(offs, r, weight)
-
-
 def jaffard_norm(matrix, r):
     """sup over diagonals m of (1 + |m|_2)^r * sup_k |A(k, k-m)|."""
-    _, wenv = _weighted_envelope(matrix, r)
-    return float(wenv.max()) if wenv.size else 0.0
+    return _one_row(matrix, NormSpec("jaffard", r=r))
 
 
 def _check_algebra_range(name, p, r, dim):
@@ -214,10 +215,10 @@ def schur_norm(matrix, p, r, weight=None):
     Row k contributes (sum_l |A(k, l)|^p v_r(k-l)^p)^(1/p), columns the same
     with roles swapped; p = inf degenerates to the weighted sup norm.
     """
+    spec = NormSpec("schur", p, r, weight)
     _check_algebra_range("schur_norm", p, r, matrix.dim)
     if math.isinf(p):
-        _, wenv = _weighted_envelope(matrix, r, weight)
-        return float(wenv.max()) if wenv.size else 0.0
+        return _one_row(matrix, spec)
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
@@ -233,19 +234,9 @@ def cpr_norm(matrix, p, r, weight=None, literal=False):
     the per-entry double sum (sum of |entry|^p within the diagonal) instead.
     p = inf coincides with :func:`jaffard_norm` in both variants.
     """
+    spec = NormSpec("cpr", p, r, weight, literal)
     _check_algebra_range("cpr_norm", p, r, matrix.dim)
-    offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return 0.0
-    w = _diagonal_weights(offs, r, weight)
-    if math.isinf(p):
-        _, env = matrix.envelope()
-        return float((env * w).max())
-    if literal:
-        sums = matrix.diagonal_power_sums(p)
-        return float((sums * w**p).sum() ** (1.0 / p))
-    _, env = matrix.envelope()
-    return float(((env * w) ** p).sum() ** (1.0 / p))
+    return _one_row(matrix, spec)
 
 
 def weighted_norm(matrix, base, weight):
@@ -253,28 +244,13 @@ def weighted_norm(matrix, base, weight):
 
     Only solid bases qualify: for those, scaling the diagonals by |w| is the
     same as weighting the norm, which is what makes the composition a norm.
+    A callable base is trusted to be solid.
     """
     base = _coerce_spec(base)
-    if isinstance(base, NormSpec):
-        if not base.is_solid:
-            raise ValueError("weighted_norm requires a solid base norm")
-        combined = weight if base.weight is None else _product_weight(base.weight, weight)
-        return matrix_norm(matrix, replace(base, weight=combined))
-    # callable base: scale the diagonals explicitly and trust the caller
+    if isinstance(base, NormSpec) and not base.is_solid:
+        raise ValueError("weighted_norm requires a solid base norm")
     scaled = matrix.scale_diagonals(lambda offs: np.asarray(weight(offs), dtype=complex))
-    return float(base(scaled))
-
-
-class _ProductWeight:
-    def __init__(self, first, second):
-        self.first, self.second = first, second
-
-    def __call__(self, offsets):
-        return self.first(offsets) * self.second(offsets)
-
-
-def _product_weight(a, b):
-    return _ProductWeight(a, b)
+    return matrix_norm(scaled, base)
 
 
 def matrix_norm(matrix, spec):
@@ -287,8 +263,7 @@ def matrix_norm(matrix, spec):
     if spec.kind == "jaffard":
         if spec.weight is None:
             return jaffard_norm(matrix, spec.r)
-        _, wenv = _weighted_envelope(matrix, spec.r, spec.weight)
-        return float(wenv.max()) if wenv.size else 0.0
+        return _one_row(matrix, spec)
     if spec.kind == "schur":
         return schur_norm(matrix, spec.p, spec.r, weight=spec.weight)
     return cpr_norm(matrix, spec.p, spec.r, weight=spec.weight, literal=spec.literal)
@@ -303,42 +278,59 @@ def _coerce_spec(spec):
 # -- multiplier stacks -------------------------------------------------------
 
 
-def envelope_separable(spec):
-    """Whether ``matrix_norm(spec)`` depends on a matrix only through its
-    per-diagonal envelope: jaffard, cpr without ``literal`` and every solid
-    kind at p = inf."""
+def diagonal_separable(spec):
+    """Whether ``matrix_norm(spec)`` depends on a matrix only through one
+    number per diagonal (:func:`diagonal_values`): every solid spec except
+    Schur at p < inf, whose row and column sums mix the diagonals."""
     if not isinstance(spec, NormSpec) or not spec.is_solid:
         return False
-    return spec.kind == "jaffard" or math.isinf(spec.p) or (spec.kind == "cpr" and not spec.literal)
+    return spec.kind != "schur" or math.isinf(spec.p)
 
 
-def stack_norm(spec, offsets, env, factors, sup=False):
+def diagonal_values(matrix, spec):
+    """``(offsets, values)``: the number per stored diagonal that a
+    :func:`diagonal_separable` spec reads, the l^p norm of the diagonal for
+    literal cpr at p < inf and its sup (the envelope) otherwise.  Both scale
+    by |F_m| under a per-diagonal multiplier F."""
+    if spec.kind == "cpr" and spec.literal and not math.isinf(spec.p):
+        return matrix.offset_array(), matrix.diagonal_power_sums(spec.p) ** (1.0 / spec.p)
+    return matrix.envelope()
+
+
+def stack_norm(spec, offsets, values, factors, sup=False):
     """``matrix_norm(F_k . A, spec)`` for every row F_k of a (K, M) stack of
-    per-diagonal multipliers, from the envelope ``env`` of A on ``offsets``.
+    per-diagonal multipliers, from the :func:`diagonal_values` of A on
+    ``offsets``; the one formula of every :func:`diagonal_separable` spec.
 
-    ``env`` may also be a (..., M) stack of envelopes; the result has shape
-    (..., K), or (...) with ``sup=True``, which takes the max over the rows.
-    Sup-type bases evaluate ``((env * |F|) * w).max(-1)``; because rounding
-    is monotone, the max over rows commutes with the max over diagonals, so
-    ``sup=True`` reduces |F| to its column max first and gives the same bits
-    in O(M) instead of O(K M) per envelope.  cpr at p < inf is
-    ``((env * w)^p @ |F|^p.T)^(1/p)``, one matrix product also for a stack
-    of envelopes.  Specs that are not :func:`envelope_separable` raise.
+    ``values`` may also be a (..., M) stack; the result has shape (..., K),
+    or (...) with ``sup=True``, which takes the max over the rows.
+    Sup-type bases evaluate ``((values * |F|) * w).max(-1)``; because
+    rounding is monotone, the max over rows commutes with the max over
+    diagonals, so ``sup=True`` reduces |F| to its column max first and gives
+    the same bits in O(M) instead of O(K M) per stack entry.  cpr at p < inf
+    is ``((values * w)^p @ |F|^p.T)^(1/p)``, one matrix product also for a
+    stack of values.  Specs that are not diagonal-separable raise.
     """
-    if not envelope_separable(spec):
-        raise ValueError(f"{spec!r} is not envelope-separable")
+    if not diagonal_separable(spec):
+        raise ValueError(f"{spec!r} is not diagonal-separable")
     w = _diagonal_weights(offsets, spec.r, spec.weight)
-    env = np.asarray(env, dtype=float)
+    values = np.asarray(values, dtype=float)
     mult = np.abs(np.asarray(factors)).astype(float, copy=False)
     if spec.kind == "jaffard" or math.isinf(spec.p):
         if sup:
             mult = mult.max(axis=0, keepdims=True)
-        out = ((env[..., None, :] * mult) * w).max(axis=-1, initial=0.0)
+        out = ((values[..., None, :] * mult) * w).max(axis=-1, initial=0.0)
         return out[..., 0] if sup else out
-    out = ((env * w) ** spec.p) @ (mult**spec.p).T
+    out = ((values * w) ** spec.p) @ (mult**spec.p).T
     if sup:
         out = out.max(axis=-1)
     return out ** (1.0 / spec.p)
+
+
+def _one_row(matrix, spec):
+    """``matrix_norm(matrix, spec)`` as the single-row stack F = 1."""
+    offs, values = diagonal_values(matrix, spec)
+    return float(stack_norm(spec, offs, values, np.ones((1, offs.shape[0])))[0])
 
 
 # -- string grammar -----------------------------------------------------------

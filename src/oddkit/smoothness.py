@@ -17,10 +17,12 @@ measures those constants empirically.
 
 Every evaluator applies a stack of per-diagonal multipliers to the matrix:
 difference magnitudes over the modulation grid, dyadic block masks, or
-smooth partition bands.  Base norms that depend only on the per-diagonal
-envelope evaluate the whole stack at once through
+smooth partition bands.  Base norms that read one number per diagonal
+(:func:`~oddkit.norms.diagonal_values`; every solid base except Schur at
+p < inf) evaluate the whole stack at once through
 :func:`~oddkit.norms.stack_norm`, which also makes iterated (reiteration)
-norms affordable; other bases take one scaled matrix per multiplier.
+norms affordable.  Schur at p < inf, ``op`` and callables take one scaled
+matrix per multiplier; that generic loop is also the tests' oracle.
 """
 
 from __future__ import annotations
@@ -83,14 +85,22 @@ def _norm_fn(base):
     raise TypeError(f"unsupported base norm {base!r}")
 
 
+def _check_smoothness(r, p):
+    """Refuse a smoothness r outside (0, inf) or a summability p outside
+    [1, inf]; NaN fails both comparisons."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"smoothness r must be finite and > 0, got {r}")
+    if not p >= 1:
+        raise ValueError(f"p must be in [1, inf], got {p}")
+
+
 def _stack_values(matrix, base, factors):
     """base(F_k . A) for every row of a (K, M) multiplier stack aligned with
-    the offsets of the matrix: one stack evaluation for envelope-separable
+    the offsets of the matrix: one stack evaluation for diagonal-separable
     bases, one scaled matrix per row for the rest."""
     fn, spec = _norm_fn(base)
-    if _norms.envelope_separable(spec):
-        offs, env = matrix.envelope()
-        return _norms.stack_norm(spec, offs, env, factors)
+    if _norms.diagonal_separable(spec):
+        return _norms.stack_norm(spec, *_norms.diagonal_values(matrix, spec), factors)
     return np.array([fn(matrix.scale_diagonals(lambda _o, f=f: f)) for f in factors])
 
 
@@ -128,10 +138,10 @@ def modulus(matrix, base, h, order=1, grid=None):
     if offs.shape[0] == 0:
         return 0.0
     pts = t_grid(h, matrix.dim, grid)
-    if _norms.envelope_separable(spec):
-        _, env = matrix.envelope()
+    if _norms.diagonal_separable(spec):
+        _, values = _norms.diagonal_values(matrix, spec)
         factors = _difference_factors(offs, pts, order)
-        return float(_norms.stack_norm(spec, offs, env, factors, sup=True))
+        return float(_norms.stack_norm(spec, offs, values, factors, sup=True))
     return max(fn(difference(matrix, t, order)) for t in pts)
 
 
@@ -151,8 +161,7 @@ def besov_norm_modulus(
     The difference order defaults to floor(r) + 1 and must exceed floor(r);
     level_max defaults to ceil(log2(2W)) + 2.
     """
-    if r <= 0:
-        raise ValueError("smoothness r must be > 0")
+    _check_smoothness(r, p)
     if order is None:
         order = _default_order(r)
     if order <= math.floor(r):
@@ -178,8 +187,7 @@ def besov_norm_solid_lp(matrix, base, r, p=math.inf):
     """Weighted l^p sum of base norms of the dyadic diagonal blocks
     floor(2^k) <= |m|_inf < 2^{k+1}, k >= -1 (k = -1 is the main diagonal,
     entering with weight 2^{-r})."""
-    if r <= 0:
-        raise ValueError("smoothness r must be > 0")
+    _check_smoothness(r, p)
     _require_solid(_norm_fn(base)[1])
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
@@ -248,8 +256,7 @@ class DyadicPartition:
 def besov_norm_phi_lp(matrix, base, r, p=math.inf, partition=None):
     """Like :func:`besov_norm_solid_lp` but with the hard dyadic blocks
     replaced by the smooth partition bands (k = -1 uses the low-pass)."""
-    if r <= 0:
-        raise ValueError("smoothness r must be > 0")
+    _check_smoothness(r, p)
     _require_solid(_norm_fn(base)[1])
     if partition is None:
         partition = DyadicPartition()
@@ -287,10 +294,7 @@ class BesovSpec:
     level_max: int | None = None
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("smoothness r must be > 0")
-        if not (self.p >= 1):
-            raise ValueError("p must be in [1, inf]")
+        _check_smoothness(self.r, self.p)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.order is not None and self.order <= math.floor(self.r):
@@ -428,14 +432,14 @@ def format_besov_spec(spec):
 
 def _iterated_modulus_norm(spec, matrix, r, s, p, grid):
     """The (s, p) modulus norm of the (spec, r, p) modulus norm, from the
-    envelope alone.
+    diagonal values alone.
 
-    The outer grid scales the envelope into a (T, M) stack, and every inner
+    The outer grid scales the diagonal values into a (T, M) stack, and every inner
     level is one :func:`~oddkit.norms.stack_norm` call on that stack, so no
     (T, T, M) array is formed: sup-type bases take O(T M) per level pair and
     cpr at p < inf one (T, M) @ (M, T) product.
     """
-    offs, env = matrix.envelope()
+    offs, values = _norms.diagonal_values(matrix, spec)
     levels = range(0, _default_level_max(matrix.window) + 1)
     ones = np.ones((1, offs.shape[0]))
 
@@ -461,7 +465,7 @@ def _iterated_modulus_norm(spec, matrix, r, s, p, grid):
     def inner_max(e, F):
         return besov(base_max, e[..., None, :] * F, r, inner_stacks).max(axis=-1)
 
-    return float(besov(inner_max, env, s, stacks(_default_order(s))))
+    return float(besov(inner_max, values, s, stacks(_default_order(s))))
 
 
 def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
@@ -469,15 +473,15 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     inner (base, r) norm) to the direct (base, r + s) norm, all via the
     modulus evaluator.  The two are equivalent; the ratio measures the
     constants.  Rejects the zero matrix."""
-    if r <= 0 or s <= 0:
-        raise ValueError("smoothness parameters must be > 0")
+    _check_smoothness(r, p)
+    _check_smoothness(s, p)
     _, spec = _norm_fn(base)
     if matrix.is_zero():
         raise ValueError("reiteration ratio undefined for the zero matrix")
     if grid is None:
         grid = _default_grid(matrix.dim)
     direct = besov_norm_modulus(matrix, base, r + s, p, grid=grid)
-    if _norms.envelope_separable(spec):
+    if _norms.diagonal_separable(spec):
         iterated = _iterated_modulus_norm(spec, matrix, r, s, p, grid)
     else:
         def inner_fn(x):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oddkit
-from oddkit import ApproxSpaceSpec, LatticeMatrix
+from oddkit import LatticeMatrix
 from oddkit.approx import approx_errors
 
 from conftest import random_matrix, single_diagonal
@@ -71,15 +71,21 @@ def test_approx_space_norm_forms_equivalent():
         oddkit.approx_space_norm(a, "jaffard:r=0", 0.5, form="integral")
 
 
-def test_approx_space_spec_validation():
-    spec = ApproxSpaceSpec("jaffard:r=0", 0.5)
-    assert spec.form == "sum" and math.isinf(spec.p)
+def test_approx_space_norm_refusals():
+    a = oddkit.generate(oddkit.DecayModel("phase", 2.0, seed=1), 8)
+    base = "jaffard:r=0"
+    # defaults: the integral form at p = inf
+    assert oddkit.approx_space_norm(a, base, 0.5) == oddkit.approx_space_norm(
+        a, base, 0.5, math.inf, form="sum"
+    )
+    for r, p in ((0.0, math.inf), (-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+                 (0.5, 0.0), (0.5, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            oddkit.approx_space_norm(a, base, r, p)
     with pytest.raises(ValueError):
-        ApproxSpaceSpec("jaffard:r=0", 0.0)
+        oddkit.approx_space_norm(a, base, 0.5, form="weird")
     with pytest.raises(ValueError):
-        ApproxSpaceSpec("jaffard:r=0", 0.5, p=0.0)
-    with pytest.raises(ValueError):
-        ApproxSpaceSpec("jaffard:r=0", 0.5, form="weird")
+        oddkit.cpr_shift_identity_check(a, 2.0, 2.0, 1.0, math.nan)
 
 
 def test_scheme_algebra_bandwidth():

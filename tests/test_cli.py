@@ -104,6 +104,23 @@ def test_approx_command_with_errors(tmp_path, capsys):
     assert out[-1].endswith(",0")
 
 
+def test_bad_smoothness_parameters_exit_2(tmp_path, capsys):
+    far = _save(single_diagonal(6, 2), tmp_path)
+    for argv in (
+        ["besov", "--p", "0.5"],
+        ["besov", "--p", "nan"],
+        ["besov", "--p", "-1"],
+        ["besov", "--r", "nan"],
+        ["besov", "--r", "0"],
+        ["approx", "--p", "0.5"],
+        ["approx", "--p", "nan"],
+        ["approx", "--r", "nan"],
+        ["approx", "--r", "-1"],
+    ):
+        assert main(argv + ["--in", far]) == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
 def test_bessel_command(tmp_path, capsys):
     one = _save(single_diagonal(6, 1), tmp_path)
     assert main(["bessel", "--in", one, "--r", "2"]) == 0

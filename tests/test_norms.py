@@ -6,7 +6,7 @@ import pytest
 
 import oddkit
 from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
-from oddkit.norms import envelope_separable, stack_norm
+from oddkit.norms import diagonal_separable, diagonal_values, stack_norm
 
 from conftest import (
     coo_operator,
@@ -121,6 +121,17 @@ def test_cpr_matches_scalar_oracle():
         assert math.isclose(got, dense_cpr(a, p, r, literal=lit), rel_tol=1e-12)
 
 
+def test_family_functions_refuse_what_norm_spec_refuses():
+    a = random_matrix(132, 3)
+    for p, r in ((0.5, 0.0), (math.nan, 0.0), (2.0, -1.0), (2.0, math.nan)):
+        for fn in (oddkit.schur_norm, oddkit.cpr_norm):
+            with pytest.raises(ValueError):
+                fn(a, p, r)
+    for r in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            oddkit.jaffard_norm(a, r)
+
+
 def test_weighted_norm():
     a = random_matrix(140, 4)
     base = NormSpec("jaffard", r=0.0)
@@ -138,6 +149,17 @@ def test_weighted_norm():
     assert math.isclose(got, BESSEL_W1_AT_1, rel_tol=1e-13)
     with pytest.raises(ValueError):
         oddkit.weighted_norm(a, NormSpec("op"), Weight("poly", 1.0))
+
+
+def test_weighted_norm_on_weighted_base():
+    # the base's own weight and the extra weight both apply
+    for dim, w in ((1, 4), (2, 2)):
+        a = random_matrix(142 + dim, w, dim=dim, density=0.8)
+        diff = offset_grid(dim, w)
+        bessel = (1.0 + 4.0 * np.pi**2 * (diff.astype(float) ** 2).sum(axis=-1)) ** 0.5
+        got = oddkit.weighted_norm(a, "w[bessel:r=1]jaffard:r=0", Weight("poly", 1.5))
+        want = dense_jaffard(bessel * a.to_dense(), diff, 1.5)
+        assert math.isclose(got, want, rel_tol=1e-13)
 
 
 def test_weighted_norm_callable_base():
@@ -188,37 +210,73 @@ def test_parameter_domain_warning():
         oddkit.cpr_norm(a, 2, 1.5)
 
 
-SEPARABLE_SPECS = ("jaffard:r=1.5", "cpr:p=2,r=1", "schur:p=inf,r=0.5", "w[bessel:r=1]cpr:p=1,r=0")
+SEPARABLE_SPECS = (
+    "jaffard:r=1.5",
+    "cpr:p=2,r=1",
+    "schur:p=inf,r=0.5",
+    "w[bessel:r=1]cpr:p=1,r=0",
+    "cpr:p=1,r=0,literal=true",
+    "w[poly:r=1]cpr:p=2,r=0.5,literal=true",
+)
+
+
+def _dense_oracle(a, spec, f):
+    """spec of F . A from the conftest oracles, the spec's own weight folded
+    into the multiplier."""
+    scaled = a.scale_diagonals(
+        lambda o: f if spec.weight is None else f * spec.weight(o)
+    )
+    if spec.kind == "cpr":
+        return dense_cpr(scaled, spec.p, spec.r, literal=spec.literal)
+    diff = offset_grid(a.dim, a.window)
+    if spec.kind == "jaffard":
+        return dense_jaffard(scaled.to_dense(), diff, spec.r)
+    return dense_schur(scaled.to_dense(), diff, spec.p, spec.r)
 
 
 def _check_stack_norm(a):
-    offs, env = a.envelope()
     gen = np.random.default_rng(7)
-    m = offs.shape[0]
+    m = a.offset_array().shape[0]
     stack = gen.standard_normal((5, m)) + 1j * gen.standard_normal((5, m))
     stack[1] = 1.0
     stack[2] = 0.0
     stack[3, : m // 2] = 0.0
     for text in SEPARABLE_SPECS:
         spec = oddkit.parse_norm_spec(text)
-        assert envelope_separable(spec)
-        got = stack_norm(spec, offs, env, stack)
+        assert diagonal_separable(spec)
+        offs, vals = diagonal_values(a, spec)
+        assert np.array_equal(offs, a.offset_array())
+        got = stack_norm(spec, offs, vals, stack)
         assert got.shape == (5,)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ParameterDomainWarning)
-            want = [oddkit.matrix_norm(a.scale_diagonals(lambda _o, f=f: f), spec) for f in stack]
+        want = [_dense_oracle(a, spec, f) for f in stack]
         for g, w in zip(got, want):
-            assert math.isclose(g, w, rel_tol=1e-13)
-        assert math.isclose(stack_norm(spec, offs, env, stack, sup=True), max(want), rel_tol=1e-13)
-        # a stack of envelopes gives one row of values per envelope
-        both = stack_norm(spec, offs, np.stack([env, 2.0 * env]), stack)
+            assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0)
+        assert math.isclose(stack_norm(spec, offs, vals, stack, sup=True), max(want), rel_tol=1e-13)
+        # a stack of value rows gives one row of norms per value row
+        both = stack_norm(spec, offs, np.stack([vals, 2.0 * vals]), stack)
         assert both.shape == (2, 5)
         assert np.allclose(both[1], 2.0 * got, rtol=1e-13, atol=0.0)
+        # the family functions are the F = 1 row
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParameterDomainWarning)
+            assert oddkit.matrix_norm(a, spec) == float(stack_norm(spec, offs, vals, stack[1:2])[0])
 
 
-def test_stack_norm_matches_matrix_norm():
+def test_stack_norm_matches_dense_oracles():
     for dim, window in ((1, 6), (2, 3)):
         _check_stack_norm(random_matrix(180, window, dim=dim, density=0.6))
+
+
+def test_diagonal_values():
+    a = random_matrix(182, 5, density=0.7)
+    offs, env = a.envelope()
+    for text in ("jaffard:r=1", "schur:p=inf,r=0", "cpr:p=2,r=1", "cpr:p=inf,r=1,literal=true"):
+        got_offs, got = diagonal_values(a, oddkit.parse_norm_spec(text))
+        assert np.array_equal(got_offs, offs) and np.array_equal(got, env)
+    # literal cpr at p < inf reads the l^p norm of each diagonal
+    _, got = diagonal_values(a, oddkit.parse_norm_spec("cpr:p=3,r=0,literal=true"))
+    want = [(np.abs(arr) ** 3).sum() ** (1 / 3) for _, arr in a.diagonals()]
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_stack_norm_stacks_and_refusals():
@@ -234,12 +292,12 @@ def test_stack_norm_stacks_and_refusals():
     for text in ("jaffard:r=0.5", "schur:p=inf,r=0", "cpr:p=inf,r=2,literal=true"):
         spec = oddkit.parse_norm_spec(text)
         assert stack_norm(spec, offs, env, stack, sup=True) == stack_norm(spec, offs, env, stack).max()
-    for text in ("schur:p=2,r=1", "schur:p=1,r=0", "cpr:p=1,r=0,literal=true", "op"):
+    for text in ("schur:p=2,r=1", "schur:p=1,r=0", "op"):
         spec = oddkit.parse_norm_spec(text)
-        assert not envelope_separable(spec)
+        assert not diagonal_separable(spec)
         with pytest.raises(ValueError):
             stack_norm(spec, offs, env, stack)
-    assert not envelope_separable(None)
+    assert not diagonal_separable(None)
 
 
 def test_grammar_round_trip():

@@ -282,10 +282,15 @@ def _generic(spec):
 
 def test_reiteration_stack_paths_match_generic():
     # cpr at p = 2 takes the matrix-product path, jaffard at p = 1 the
-    # commuted-max path with an l^1 sum over levels; r != s tells the inner
-    # norm from the outer one
+    # commuted-max path with an l^1 sum over levels, literal cpr the product
+    # path on the per-diagonal l^p norms; r != s tells the inner norm from
+    # the outer one
     a = decay_matrix(11, 6)
-    cases = ((NormSpec("cpr", p=2.0, r=0.0), 2.0, 0.5, 1.5), (NormSpec("jaffard", r=0.0), 1.0, 1.5, 0.5))
+    cases = (
+        (NormSpec("cpr", p=2.0, r=0.0), 2.0, 0.5, 1.5),
+        (NormSpec("jaffard", r=0.0), 1.0, 1.5, 0.5),
+        (NormSpec("cpr", p=1.5, r=0.5, literal=True), 1.0, 1.5, 0.5),
+    )
     for spec, p, r, s in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParameterDomainWarning)
@@ -296,10 +301,53 @@ def test_reiteration_stack_paths_match_generic():
 
 def test_reiteration_fast_path_matches_generic_d2():
     a = decay_matrix(12, 2, dim=2)
-    for spec in (NormSpec("jaffard", r=0.0), NormSpec("cpr", p=1.0, r=0.0)):
+    specs = (
+        NormSpec("jaffard", r=0.0),
+        NormSpec("cpr", p=1.0, r=0.0),
+        NormSpec("cpr", p=2.0, r=1.5, literal=True),
+    )
+    for spec in specs:
         fast = oddkit.reiteration_ratio(a, spec, 0.5, 0.5, grid=8)
         slow = oddkit.reiteration_ratio(a, _generic(spec), 0.5, 0.5, grid=8)
         assert math.isclose(fast, slow, rel_tol=1e-10)
+
+
+def test_literal_cpr_stack_evaluators_match_generic():
+    # literal cpr reads one l^p norm per diagonal; every evaluator on the
+    # stack path agrees with the one-matrix-per-multiplier callable path
+    for dim, window in ((1, 6), (2, 2)):
+        a = decay_matrix(13, window, dim=dim)
+        for spec in (NormSpec("cpr", p=1.0, r=0.0, literal=True),
+                     NormSpec("cpr", p=3.5, r=1.5, literal=True, weight=oddkit.Weight("poly", 1.0))):
+            slow = _generic(spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ParameterDomainWarning)
+                pairs = [
+                    (oddkit.modulus(a, spec, 0.25, order=2, grid=16),
+                     oddkit.modulus(a, slow, 0.25, order=2, grid=16)),
+                    (oddkit.besov_norm_solid_lp(a, spec, 0.5, 2.0),
+                     oddkit.besov_norm_solid_lp(a, slow, 0.5, 2.0)),
+                    (oddkit.besov_norm_phi_lp(a, spec, 1.5, 1.0),
+                     oddkit.besov_norm_phi_lp(a, slow, 1.5, 1.0)),
+                ]
+            for fast, want in pairs:
+                assert want > 0 and math.isclose(fast, want, rel_tol=1e-12)
+
+
+def test_smoothness_parameters_refused():
+    a = decay_matrix(14, 4)
+    bad = ((0.0, math.inf), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+           (0.5, 0.5), (0.5, -1.0), (0.5, math.nan))
+    for r, p in bad:
+        with pytest.raises(ValueError):
+            BesovSpec("jaffard:r=0", r=r, p=p)
+        for evaluator in (oddkit.besov_norm_modulus, oddkit.besov_norm_solid_lp, oddkit.besov_norm_phi_lp):
+            with pytest.raises(ValueError):
+                evaluator(a, "jaffard:r=0", r, p)
+        with pytest.raises(ValueError):
+            oddkit.reiteration_ratio(a, "jaffard:r=0", r, 0.5, p, grid=8)
+        with pytest.raises(ValueError):
+            oddkit.reiteration_ratio(a, "jaffard:r=0", 0.5, r, p, grid=8)
 
 
 def test_reiteration_memory_bounded_d2():
