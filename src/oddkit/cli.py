@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 verification-property failure, 2 configuration or
 parse error, 3 numerical non-convergence.  A ``key = value`` config file can
-preload any subcommand flag; explicit flags win.  ODD_THREADS seeds the
-default of ``report --threads``.
+preload any subcommand flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -26,16 +25,6 @@ from . import smoothness as _smoothness
 from . import verify as _verify
 
 __all__ = ["main"]
-
-
-def _default_threads():
-    raw = os.environ.get("ODD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _build_parser():
@@ -115,7 +104,6 @@ def _build_parser():
     p.add_argument("--norm", action="append", default=None, help="norm spec column (repeatable)")
     p.add_argument("--out", "-o", default=".", help="output directory")
     p.add_argument("--format", default="json", choices=("json", "csv"), help="what to echo on stdout")
-    p.add_argument("--threads", type=int, default=_default_threads())
 
     return parser, registry
 
@@ -314,7 +302,6 @@ def _cmd_report(args):
         norms=args.norm,
         margin=args.margin,
         dim=args.dim,
-        threads=args.threads,
     )
     os.makedirs(args.out, exist_ok=True)
     payload = report.to_dict()
@@ -327,7 +314,6 @@ def _cmd_report(args):
         "windows": list(windows),
         "dim": args.dim,
         "norms": list(report.norm_specs),
-        "threads": args.threads,
     }
     json_path = os.path.join(args.out, "report.json")
     with open(json_path, "w", encoding="utf-8") as fh:

@@ -129,8 +129,8 @@ def modulus(matrix, base, h, order=1, grid=None):
     norm of the order-fold modulation difference of the matrix."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be finite and > 0")
     if grid is None:
         grid = _default_grid(matrix.dim)
     fn, spec = _norm_fn(base)

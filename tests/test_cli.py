@@ -239,24 +239,6 @@ def test_report_outputs(tmp_path, capsys):
     assert main(["report", "--W", " ", "--out", str(out_dir)]) == 2
 
 
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("ODD_THREADS", "4")
-    assert cli._default_threads() == 4
-    monkeypatch.setenv("ODD_THREADS", "zero")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("ODD_THREADS")
-    assert cli._default_threads() == 1
-
-
-def test_threads_only_on_report(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--threads", "2", "--list"])
-    assert exc.value.code == 2
-    out_dir = tmp_path / "rep"
-    assert main(["report", "--W", "16,20", "--threads", "2", "--out", str(out_dir)]) == 0
-    assert json.loads((out_dir / "report.json").read_text())["config"]["threads"] == 2
-
-
 def test_norm_refuses_bad_matrix_files_exit_2(tmp_path, capsys):
     payload = oddkit.to_json_dict(single_diagonal(3, 1, value=0.5))
     nan_entry = json.loads(json.dumps(payload))

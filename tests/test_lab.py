@@ -103,6 +103,108 @@ def test_invert_finite_section_basics():
         oddkit.invert_finite_section(single_diagonal(5, 1))  # nilpotent shift
 
 
+def _exact_gates(dense, sv_gate, residual_gate):
+    """The finite-section gates decided by the exact tests alone: the dense
+    SVD first, then the exact 2-norm of the residual of the same inverse."""
+    svals = np.linalg.svd(dense, compute_uv=False)
+    if svals[-1] < sv_gate * svals[0]:
+        return "section numerically singular"
+    inv = np.linalg.inv(dense)
+    resid = dense @ inv
+    np.fill_diagonal(resid, resid.diagonal() - 1.0)
+    if np.linalg.norm(resid, 2) > residual_gate:
+        return "inverse failed the residual check"
+    return inv
+
+
+def _section_with_ratio(ratio, seed=0, w=8):
+    """A d=1 section (n = 2w + 1 = 17 rows) with s_min/s_max = ratio."""
+    n = 2 * w + 1
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    svals = np.geomspace(1.0, ratio, n) if ratio > 0 else np.r_[np.geomspace(1.0, 1e-3, n - 1), 0.0]
+    return LatticeMatrix.from_dense((u * svals) @ v.conj().T, window=w)
+
+
+GATE_LADDER = (1e-3, 1e-8, 5e-10, 1.01e-10, 0.99e-10, 1e-11, 0.0)
+
+
+@pytest.mark.parametrize(
+    "sv_gate,residual_gate,reached",
+    # gates on either side of the 1e-3 rung, and a residual gate nothing passes
+    [(1e-10, 1e-8, 3), (1e-4, 1e-8, 2), (0.99e-3, 1e-8, 2), (1.01e-3, 1e-8, 1), (1e-10, -1.0, 2)],
+)
+def test_invert_finite_section_gates_match_exact_tests(sv_gate, residual_gate, reached):
+    sections = [_section_with_ratio(ratio) for ratio in GATE_LADDER]
+    sections.append(LatticeMatrix.from_dense(np.ones((17, 17)), window=8))  # rank one
+    outcomes = set()
+    for b in sections:
+        dense = b.to_dense()
+        want = _exact_gates(dense, sv_gate, residual_gate)
+        if isinstance(want, str):
+            outcomes.add(want)
+            with pytest.raises(SingularSectionError, match=f"^{want}"):
+                oddkit.invert_finite_section(b, sv_gate, residual_gate)
+        else:
+            outcomes.add("accepted")
+            got = oddkit.invert_finite_section(b, sv_gate, residual_gate)
+            assert np.array_equal(got.to_dense(), want)
+    assert len(outcomes) == reached
+
+
+def test_invert_finite_section_exact_singularity():
+    ones = LatticeMatrix.from_dense(np.ones((17, 17)), window=8)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(ones.to_dense())
+    # the ladder covers the SVD gate raising first; a gate that never fails
+    # lets inv's error through, as when the SVD ran before inv
+    with pytest.raises(np.linalg.LinAlgError):
+        oddkit.invert_finite_section(ones, sv_gate=0.0)
+
+
+def _count_exact_tests(monkeypatch):
+    calls = {"svd": 0, "norm2": 0}
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        calls["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return calls
+
+
+def test_invert_finite_section_residual_fallback(monkeypatch):
+    b = oddkit.make_invertible(oddkit.generate(DecayModel("phase", 2.5, seed=1), 8))
+    dense = b.to_dense()
+    inv = np.linalg.inv(dense)
+    resid = dense @ inv
+    np.fill_diagonal(resid, resid.diagonal() - 1.0)
+    exact = np.linalg.norm(resid, 2)
+    beta = math.sqrt(np.linalg.norm(resid, 1) * np.linalg.norm(resid, np.inf))
+    assert 0 < exact < beta
+    calls = _count_exact_tests(monkeypatch)
+    got = oddkit.invert_finite_section(b, residual_gate=math.sqrt(exact * beta))
+    assert np.array_equal(got.to_dense(), inv)
+    assert calls["norm2"] == 1  # the bound could not decide; the exact norm did
+    with pytest.raises(SingularSectionError, match="^inverse failed the residual check"):
+        oddkit.invert_finite_section(b, residual_gate=0.999 * exact)
+
+
+def test_invert_finite_section_certified_without_exact_tests(monkeypatch):
+    b = oddkit.make_invertible(oddkit.generate(DecayModel("det", 2.0), 64))
+    calls = _count_exact_tests(monkeypatch)
+    got = oddkit.invert_finite_section(b)
+    assert calls == {"svd": 0, "norm2": 0}
+    assert np.array_equal(got.to_dense(), np.linalg.inv(b.to_dense()))
+
+
 def test_invert_neumann_closed_form():
     w = 8
     b = 2.0 * LatticeMatrix.identity(1, w) + single_diagonal(w, 1)
@@ -160,15 +262,6 @@ def test_spectral_invariance_report_schema():
     rows = report_csv_rows(rep)
     assert rows[0] == ("window", "spec", "forward", "inverse")
     assert len(rows) == 1 + 2 * 3
-
-
-def test_spectral_invariance_report_threads_agree():
-    model = DecayModel("phase", 2.5, seed=2)
-    one = oddkit.spectral_invariance_report(model, (16, 20), norms=("jaffard:r=2.5",))
-    two = oddkit.spectral_invariance_report(
-        model, (16, 20), norms=("jaffard:r=2.5",), threads=2
-    )
-    assert one.to_dict() == two.to_dict()
 
 
 def test_interior_envelope_matches_dense():

@@ -54,6 +54,17 @@ def test_modulus_triangle_bound():
     assert oddkit.modulus(a, base, 0.5) <= bound * (1 + 1e-12)
 
 
+def test_modulus_refuses_non_finite_h():
+    a = decay_matrix(1, 8)
+    for h in (math.nan, math.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            oddkit.modulus(a, "jaffard:r=0", h)
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            oddkit.modulus(a, "op", h)
+    with pytest.raises(ValueError, match="h must be finite and > 0"):
+        oddkit.continuity_defect(a, "jaffard:r=0", (0.5, math.nan))
+
+
 def test_modulus_generic_and_reducer_paths_agree():
     a = decay_matrix(2, 10)
     spec = NormSpec("jaffard", r=1.0)
