@@ -21,7 +21,7 @@ import numpy as np
 
 from . import norms as _norms
 from .lattice import band_truncate
-from .smoothness import _check_smoothness, _lp_combine, _norm_fn, _stack_values, besov_norm_solid_lp
+from .smoothness import _check_smoothness, _lp_combine, _stack_values, besov_norm_solid_lp
 
 __all__ = [
     "CprShiftReport",
@@ -39,8 +39,7 @@ def approx_error(matrix, n, base):
     """E_n: base norm of the matrix minus its bandwidth-n truncation."""
     if n < 0:
         raise ValueError("bandwidth must be >= 0")
-    fn, _ = _norm_fn(base)
-    return float(fn(matrix - band_truncate(matrix, n)))
+    return _norms.matrix_norm(matrix - band_truncate(matrix, n), base)
 
 
 def approx_errors(matrix, base, n_max=None):

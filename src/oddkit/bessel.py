@@ -9,12 +9,13 @@ multiplied by
 
     mu_eps(m) = int_{eps <= |t|_2 <= 1} (e^{2 pi i m.t} - 1) |t|_2^{-r} dt / |t|_2^d.
 
-The multipliers are real (the imaginary part cancels by symmetry) and are
-computed by panel Gauss-Legendre quadrature with panels split at the phase
-half-periods and at the dyadic cutoffs, refined until successive values
-agree to 0.5%; for d = 2 the angular integral uses the periodic trapezoid
-rule.  Non-convergence raises :class:`QuadratureError` rather than returning
-a value.
+In polar coordinates t = rho * omega the angular average is exact:
+2 (cos z - 1) for d = 1 and 2 pi (J_0(z) - 1) for d = 2 (DLMF 10.9.1), with
+z = 2 pi |m|_2 rho, so the multipliers are real and both dimensions share
+one radial rule: panel Gauss-Legendre quadrature with panels split at the
+phase half-periods and at the dyadic cutoffs, refined until successive
+values agree to ``REL_TOL``.  Non-convergence raises
+:class:`QuadratureError` rather than returning a value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import norms as _norms
 from .lattice import LatticeMatrix
-from .smoothness import _norm_fn, _stack_values, besov_norm_solid_lp
+from .smoothness import _stack_values, besov_norm_solid_lp
 
 __all__ = [
     "EmbeddingReport",
@@ -42,6 +43,11 @@ __all__ = [
     "hypersingular_profile",
     "write_multiplier_csv",
 ]
+
+LEVELS = 12  # cutoff grid eps = 2^-1, ..., 2^-LEVELS
+REL_TOL = 5e-3  # refinement stop, and the stabilization threshold of the sweep
+MAX_NODES = 256  # Gauss-Legendre nodes per panel at the last refinement pass
+SHIFT_ORDER = 0.5  # smoothness order s of the embedding_check shift
 
 
 class QuadratureError(RuntimeError):
@@ -75,28 +81,24 @@ class HypersingularQuadrature:
     """Cutoff-multiplier table mu_eps(m) for a fixed exponent r in (0, 2).
 
     Values are cached per diagonal (they depend on |m|_2 only) across the
-    cutoff grid eps = 2^-1, ..., 2^-levels.  ``rel_tol`` is the refinement
-    stop: successive node-doubling passes must agree to this relative
-    tolerance for every cutoff.
+    cutoff grid eps = 2^-1, ..., 2^-LEVELS.  Node-doubling passes stop when
+    successive values agree to ``REL_TOL`` relative for every cutoff.
     """
 
     _GL_CACHE = {}
 
-    def __init__(self, r, dim=1, levels=12, rel_tol=5e-3, max_nodes=256):
+    def __init__(self, r, dim=1):
         if not (0.0 < r < 2.0):
             raise ValueError("hypersingular exponent requires 0 < r < 2")
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         self.r = float(r)
         self.dim = int(dim)
-        self.levels = int(levels)
-        self.rel_tol = float(rel_tol)
-        self.max_nodes = int(max_nodes)
         self._cache = {}
 
     @property
     def eps_grid(self):
-        return tuple(2.0**-j for j in range(1, self.levels + 1))
+        return tuple(2.0**-j for j in range(1, LEVELS + 1))
 
     @classmethod
     def _gauss(cls, n):
@@ -105,11 +107,11 @@ class HypersingularQuadrature:
         return cls._GL_CACHE[n]
 
     def _edges(self, freq):
-        """Panel edges on [2^-levels, 1]: dyadic cutoffs plus phase
+        """Panel edges on [2^-LEVELS, 1]: dyadic cutoffs plus phase
         half-periods k / (2 freq)."""
-        lo = 2.0**-self.levels
+        lo = 2.0**-LEVELS
         edges = {1.0}
-        edges.update(2.0**-j for j in range(1, self.levels + 1))
+        edges.update(2.0**-j for j in range(1, LEVELS + 1))
         if freq > 0:
             half = 0.5 / freq
             k0 = max(1, int(math.ceil(lo / half)))
@@ -119,7 +121,7 @@ class HypersingularQuadrature:
         arr = np.array(sorted(edges))
         return arr[(arr >= lo - 1e-18) & (arr <= 1.0 + 1e-18)]
 
-    def _panel_values(self, freq, nodes, n_theta):
+    def _panel_values(self, freq, nodes):
         """Per-panel integrals of the radial integrand at the given node
         count, as (edges, panel_integrals)."""
         edges = self._edges(freq)
@@ -128,23 +130,25 @@ class HypersingularQuadrature:
         half = 0.5 * (hi - lo)
         x = lo[:, None] + half[:, None] * (x_gl[None, :] + 1.0)  # (P, n)
         w = half[:, None] * w_gl[None, :]
+        z = 2.0 * np.pi * freq * x
         if self.dim == 1:
-            vals = (2.0 * np.cos(2.0 * np.pi * freq * x) - 2.0) * x ** (-1.0 - self.r)
+            ang = 2.0 * np.cos(z) - 2.0
         else:
-            theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-            phase = 2.0 * np.pi * freq * x[..., None] * np.cos(theta)  # (P, n, T)
-            ang = (np.cos(phase) - 1.0).mean(axis=-1) * 2.0 * np.pi
-            vals = ang * x ** (-1.0 - self.r)
+            # deferred so that importing oddkit loads no scipy
+            from scipy.special import j0
+
+            ang = (j0(z) - 1.0) * 2.0 * np.pi
+        vals = ang * x ** (-1.0 - self.r)
         return edges, (vals * w).sum(axis=1)
 
     def _mu_row(self, freq):
         """mu_eps for one |m|_2, over the full cutoff grid (decreasing eps)."""
         if freq == 0.0:
-            return np.zeros(self.levels)
+            return np.zeros(LEVELS)
         prev = None
-        nodes, n_theta = 16, 64
-        while nodes <= self.max_nodes:
-            edges, panels = self._panel_values(freq, nodes, n_theta)
+        nodes = 16
+        while nodes <= MAX_NODES:
+            edges, panels = self._panel_values(freq, nodes)
             csum = np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1]
             # panels are bounded by the dyadic edges, so each cutoff lands
             # exactly on a panel boundary
@@ -152,11 +156,10 @@ class HypersingularQuadrature:
             row = csum[np.minimum(idx, len(csum) - 1)]
             if prev is not None:
                 scale = np.maximum(np.abs(row), 1e-12)
-                if np.max(np.abs(row - prev) / scale) < self.rel_tol:
+                if np.max(np.abs(row - prev) / scale) < REL_TOL:
                     return row
             prev = row
             nodes *= 2
-            n_theta *= 2
         raise QuadratureError(
             f"multiplier quadrature did not converge for |m|={freq} "
             f"(r={self.r}, d={self.dim})"
@@ -170,7 +173,7 @@ class HypersingularQuadrature:
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets.ndim == 1:
             offsets = offsets.reshape(-1, 1)
-        out = np.empty((offsets.shape[0], self.levels))
+        out = np.empty((offsets.shape[0], LEVELS))
         for i, off in enumerate(offsets):
             key = int((off.astype(np.int64) ** 2).sum())
             row = self._cache.get(key)
@@ -208,15 +211,14 @@ def hypersingular_norm(matrix, r, base, quad=None):
     """
     if not (0.0 < r < 2.0):
         raise ValueError("hypersingular exponent requires 0 < r < 2")
-    fn, _ = _norm_fn(base)
-    base_val = fn(matrix)
+    base_val = _norms.matrix_norm(matrix, base)
     eps, vals = hypersingular_profile(matrix, r, base, quad=quad)
     if len(vals) == 0 or vals.max() == 0.0:
         return float(base_val)
     tail = vals[-3:]
     if tail.size == 3 and tail.max() > 0:
         spread = (tail.max() - tail.min()) / tail.max()
-        if spread > 5e-3:
+        if spread > REL_TOL:
             warnings.warn(
                 f"hypersingular seminorm not stabilized at eps=2^-{len(vals)} "
                 f"(last-three spread {spread:.2%})",
@@ -244,20 +246,21 @@ class EmbeddingReport:
     hyp_ratio: float | None
 
 
-def embedding_check(matrix, r, base, s=0.5, p=math.inf, quad=None, hyp=True):
+def embedding_check(matrix, r, base, quad=None):
     """Measure the norm chain p=1 block norm >~ Bessel norm >~ p=inf block
-    norm at smoothness r, the smoothness shift of bessel_convolve (order s,
-    summability p), and optionally the hypersingular/Bessel ratio."""
+    norm at smoothness r, the smoothness shift of bessel_convolve (order
+    ``SHIFT_ORDER``, summability inf), and for 0 < r < 2 the
+    hypersingular/Bessel ratio."""
     if matrix.is_zero():
         raise ValueError("embedding check undefined for the zero matrix")
     b1 = besov_norm_solid_lp(matrix, base, r, 1.0)
     binf = besov_norm_solid_lp(matrix, base, r, math.inf)
     bes = bessel_norm(matrix, r, base)
-    lhs = besov_norm_solid_lp(bessel_convolve(matrix, r), base, s, p)
-    rhs = besov_norm_solid_lp(matrix, base, r + s, p)
+    lhs = besov_norm_solid_lp(bessel_convolve(matrix, r), base, SHIFT_ORDER)
+    rhs = besov_norm_solid_lp(matrix, base, r + SHIFT_ORDER)
     hyp_val = None
     hyp_ratio = None
-    if hyp and 0.0 < r < 2.0:
+    if 0.0 < r < 2.0:
         hyp_val = hypersingular_norm(matrix, r, base, quad=quad)
         hyp_ratio = hyp_val / bes if bes else math.inf
     return EmbeddingReport(

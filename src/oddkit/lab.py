@@ -48,6 +48,8 @@ _KIND_ALIASES = {
     "random-magnitude": "mag",
 }
 
+_FIT_MIN_POINTS = 8  # diagonals that the decay_profile fit window must hold
+
 
 class SingularSectionError(RuntimeError):
     """The finite section is numerically singular (or its inverse failed
@@ -219,26 +221,23 @@ def _interior_envelope(matrix):
     return np.sqrt((offs[keep] ** 2).sum(axis=1)), sups[keep]
 
 
-def decay_profile(matrix, fit_lo=None, fit_hi=None, min_points=8):
+def decay_profile(matrix):
     """Fit the interior decay envelope to a power law.
 
-    The fit window defaults to 1 <= |m|_2 <= 0.75 * max |m|_2 (the main
-    diagonal and the outer quarter are edge-dominated and excluded) and must
-    contain at least ``min_points`` diagonals.
+    The fit window is 1 <= |m|_2 <= 0.75 * max |m|_2 (the main diagonal and
+    the outer quarter are edge-dominated and excluded) and must contain at
+    least ``_FIT_MIN_POINTS`` diagonals.
     """
     dists, vals = _interior_envelope(matrix)
     if dists.size == 0:
         raise ValueError("decay profile of the zero matrix is undefined")
-    d_max = float(dists.max())
-    if fit_lo is None:
-        fit_lo = 1.0
-    if fit_hi is None:
-        fit_hi = 0.75 * d_max
+    fit_lo = 1.0
+    fit_hi = 0.75 * float(dists.max())
     sel = (dists >= fit_lo) & (dists <= fit_hi)
-    if int(sel.sum()) < min_points:
+    if int(sel.sum()) < _FIT_MIN_POINTS:
         raise ValueError(
             f"only {int(sel.sum())} diagonals inside the fit window "
-            f"[{fit_lo}, {fit_hi}]; need at least {min_points}"
+            f"[{fit_lo}, {fit_hi}]; need at least {_FIT_MIN_POINTS}"
         )
     x = np.log1p(dists[sel])
     y = np.log(np.maximum(vals[sel], 1e-300))

@@ -42,7 +42,6 @@ __all__ = [
     "diagonal_separable",
     "diagonal_values",
     "format_norm_spec",
-    "is_solid",
     "jaffard_norm",
     "matrix_norm",
     "op_norm_l2",
@@ -117,10 +116,6 @@ class NormSpec:
     @property
     def is_solid(self):
         return self.kind != "op"
-
-
-def is_solid(spec):
-    return spec.is_solid if isinstance(spec, NormSpec) else False
 
 
 # -- the norms ---------------------------------------------------------------
@@ -270,9 +265,12 @@ def matrix_norm(matrix, spec):
 
 
 def _coerce_spec(spec):
+    """A grammar string parsed; a NormSpec or a callable as given."""
     if isinstance(spec, str):
         return parse_norm_spec(spec)
-    return spec
+    if isinstance(spec, NormSpec) or callable(spec):
+        return spec
+    raise TypeError(f"unsupported base norm {spec!r}")
 
 
 # -- multiplier stacks -------------------------------------------------------

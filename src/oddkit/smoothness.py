@@ -74,17 +74,6 @@ def _lp_combine(values, p):
     return float((vals**p).sum() ** (1.0 / p))
 
 
-def _norm_fn(base):
-    """Turn a base (NormSpec, grammar string or callable) into a callable."""
-    if isinstance(base, str):
-        base = _norms.parse_norm_spec(base)
-    if isinstance(base, _norms.NormSpec):
-        return lambda m: _norms.matrix_norm(m, base), base
-    if callable(base):
-        return base, None
-    raise TypeError(f"unsupported base norm {base!r}")
-
-
 def _check_smoothness(r, p):
     """Refuse a smoothness r outside (0, inf) or a summability p outside
     [1, inf]; NaN fails both comparisons."""
@@ -98,10 +87,12 @@ def _stack_values(matrix, base, factors):
     """base(F_k . A) for every row of a (K, M) multiplier stack aligned with
     the offsets of the matrix: one stack evaluation for diagonal-separable
     bases, one scaled matrix per row for the rest."""
-    fn, spec = _norm_fn(base)
+    spec = _norms._coerce_spec(base)
     if _norms.diagonal_separable(spec):
         return _norms.stack_norm(spec, *_norms.diagonal_values(matrix, spec), factors)
-    return np.array([fn(matrix.scale_diagonals(lambda _o, f=f: f)) for f in factors])
+    return np.array(
+        [_norms.matrix_norm(matrix.scale_diagonals(lambda _o, f=f: f), spec) for f in factors]
+    )
 
 
 def t_grid(h, dim, grid):
@@ -133,7 +124,7 @@ def modulus(matrix, base, h, order=1, grid=None):
         raise ValueError("h must be finite and > 0")
     if grid is None:
         grid = _default_grid(matrix.dim)
-    fn, spec = _norm_fn(base)
+    spec = _norms._coerce_spec(base)
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
@@ -142,7 +133,7 @@ def modulus(matrix, base, h, order=1, grid=None):
         _, values = _norms.diagonal_values(matrix, spec)
         factors = _difference_factors(offs, pts, order)
         return float(_norms.stack_norm(spec, offs, values, factors, sup=True))
-    return max(fn(difference(matrix, t, order)) for t in pts)
+    return max(_norms.matrix_norm(difference(matrix, t, order), spec) for t in pts)
 
 
 def besov_norm_modulus(
@@ -170,17 +161,20 @@ def besov_norm_modulus(
         level_max = _default_level_max(matrix.window)
     if level_max < level_min:
         raise ValueError("level_max must be >= level_min")
-    fn, _ = _norm_fn(base)
+    base = _norms._coerce_spec(base)
     vals = [
         2.0 ** (r * l) * modulus(matrix, base, 2.0**-l, order=order, grid=grid)
         for l in range(level_min, level_max + 1)
     ]
-    return float(fn(matrix) + _lp_combine(vals, p))
+    return float(_norms.matrix_norm(matrix, base) + _lp_combine(vals, p))
 
 
-def _require_solid(spec):
+def _require_solid(base):
+    """The base coerced once; an ``op`` spec is refused."""
+    spec = _norms._coerce_spec(base)
     if isinstance(spec, _norms.NormSpec) and not spec.is_solid:
         raise ValueError("this evaluator requires a solid base norm")
+    return spec
 
 
 def besov_norm_solid_lp(matrix, base, r, p=math.inf):
@@ -188,7 +182,7 @@ def besov_norm_solid_lp(matrix, base, r, p=math.inf):
     floor(2^k) <= |m|_inf < 2^{k+1}, k >= -1 (k = -1 is the main diagonal,
     entering with weight 2^{-r})."""
     _check_smoothness(r, p)
-    _require_solid(_norm_fn(base)[1])
+    base = _require_solid(base)
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
@@ -253,13 +247,12 @@ class DyadicPartition:
         return out
 
 
-def besov_norm_phi_lp(matrix, base, r, p=math.inf, partition=None):
+def besov_norm_phi_lp(matrix, base, r, p=math.inf):
     """Like :func:`besov_norm_solid_lp` but with the hard dyadic blocks
     replaced by the smooth partition bands (k = -1 uses the low-pass)."""
     _check_smoothness(r, p)
-    _require_solid(_norm_fn(base)[1])
-    if partition is None:
-        partition = DyadicPartition()
+    base = _require_solid(base)
+    partition = DyadicPartition()
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return 0.0
@@ -475,17 +468,17 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     constants.  Rejects the zero matrix."""
     _check_smoothness(r, p)
     _check_smoothness(s, p)
-    _, spec = _norm_fn(base)
+    spec = _norms._coerce_spec(base)
     if matrix.is_zero():
         raise ValueError("reiteration ratio undefined for the zero matrix")
     if grid is None:
         grid = _default_grid(matrix.dim)
-    direct = besov_norm_modulus(matrix, base, r + s, p, grid=grid)
+    direct = besov_norm_modulus(matrix, spec, r + s, p, grid=grid)
     if _norms.diagonal_separable(spec):
         iterated = _iterated_modulus_norm(spec, matrix, r, s, p, grid)
     else:
         def inner_fn(x):
-            return besov_norm_modulus(x, base, r, p, grid=grid)
+            return besov_norm_modulus(x, spec, r, p, grid=grid)
 
         iterated = besov_norm_modulus(matrix, inner_fn, s, p, grid=grid)
     if direct == 0.0:
@@ -510,9 +503,9 @@ class ContinuityDefect:
 
 
 def continuity_defect(matrix, base, h_values, order=1, grid=None, tail_exponent=None):
-    fn, spec = _norm_fn(base)
+    spec = _norms._coerce_spec(base)
     h_values = tuple(float(h) for h in h_values)
-    mods = tuple(modulus(matrix, base, h, order=order, grid=grid) for h in h_values)
+    mods = tuple(modulus(matrix, spec, h, order=order, grid=grid) for h in h_values)
     if tail_exponent is None:
         tail_exponent = spec.r if isinstance(spec, _norms.NormSpec) and spec.is_solid else 0.0
     offs, env = matrix.envelope()

@@ -281,7 +281,7 @@ def measure_truncation_optimality(mats, base="jaffard:r=0", seed=7, bands=(2, 4,
     the largest signed excess (non-positive means truncation is optimal)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    fn, _ = _smoothness._norm_fn(base)
+    base = _norms._coerce_spec(base)
     for a in mats:
         for n in bands:
             e_n = _approx.approx_error(a, n, base)
@@ -296,7 +296,7 @@ def measure_truncation_optimality(mats, base="jaffard:r=0", seed=7, bands=(2, 4,
                     },
                 )
                 competitor = trunc + perturb if rng.random() < 0.5 else perturb
-                worst = max(worst, e_n - fn(a - competitor))
+                worst = max(worst, e_n - _norms.matrix_norm(a - competitor, base))
     return worst
 
 

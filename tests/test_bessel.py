@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +16,7 @@ from oddkit import (
     QuadratureError,
     StabilizationWarning,
 )
+from oddkit import bessel
 from oddkit.bessel import write_multiplier_csv
 
 from conftest import random_matrix, single_diagonal
@@ -34,6 +39,8 @@ MU_2D = {
     (6, (1, 0)): -17.725399485293234,
     (6, (1, 1)): -22.9013145689703,
     (6, (3, 0)): -38.91236869126824,
+    (6, (17, 5)): -90.79029134666986,
+    (12, (32, 32)): -189.6822055364563,
 }
 # (1 + 4 pi^2) powers
 GAIN_R1 = 0.15717672547758985  # (1 + 4 pi^2)^(-1/2)
@@ -98,8 +105,8 @@ def test_multipliers_match_oracle_1d():
 
 def test_multipliers_match_oracle_2d():
     q = HypersingularQuadrature(0.5, 2)
-    idx = int(np.argmin(np.abs(np.asarray(q.eps_grid) - 2.0**-6)))
     for (j, m), want in MU_2D.items():
+        idx = int(np.argmin(np.abs(np.asarray(q.eps_grid) - 2.0**-j)))
         got = float(q.multipliers(np.array([m]))[0, idx])
         assert math.isclose(got, want, rel_tol=1e-9)
 
@@ -113,8 +120,24 @@ def test_multiplier_symmetries():
     assert (np.diff(np.abs(table[1])) > 0).all()
 
 
-def test_quadrature_failure_raises():
-    q = HypersingularQuadrature(0.5, 1, rel_tol=1e-15, max_nodes=16)
+def test_multipliers_2d_memory():
+    # the angular average is J0 in closed form: a d=2 row allocates
+    # O(panels x nodes), with no angular axis
+    q = HypersingularQuadrature(0.5, 2)
+    q.multipliers([[1, 0]])  # imports scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        q.multipliers([[32, 32]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_quadrature_failure_raises(monkeypatch):
+    monkeypatch.setattr(bessel, "REL_TOL", 1e-15)
+    monkeypatch.setattr(bessel, "MAX_NODES", 16)
+    q = HypersingularQuadrature(0.5, 1)
     with pytest.raises(QuadratureError):
         q.multipliers(np.array([[7]]))
 
@@ -179,8 +202,9 @@ def test_embedding_check_corpus():
         oddkit.embedding_check(LatticeMatrix.zeros(1, 5), 0.5, "jaffard:r=0")
 
 
-def test_multiplier_csv(tmp_path):
-    q = HypersingularQuadrature(0.5, 1, levels=4)
+def test_multiplier_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(bessel, "LEVELS", 4)
+    q = HypersingularQuadrature(0.5, 1)
     path = tmp_path / "mult.csv"
     write_multiplier_csv(q, np.array([[0], [2]]), path)
     with open(path) as fh:
@@ -191,3 +215,18 @@ def test_multiplier_csv(tmp_path):
     got = float(rows[1 + 4][2])  # first eps row of m = 2
     want = float(q.multipliers(np.array([[2]]))[0, 0])
     assert math.isclose(got, want, rel_tol=1e-15)
+
+
+def test_d1_path_loads_no_scipy_special():
+    # scipy.special (J0) is imported only when a d=2 multiplier row is built
+    code = (
+        "import sys, oddkit\n"
+        "a = oddkit.generate(oddkit.DecayModel('phase', 2.5, seed=0), 6)\n"
+        "oddkit.embedding_check(a, 0.5, 'jaffard:r=0')\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special loaded'\n"
+    )
+    src = os.path.dirname(os.path.dirname(oddkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path}
+    )

@@ -333,6 +333,16 @@ def test_matrix_norm_dispatch():
         oddkit.matrix_norm(a, lambda m: 3.0), 3.0, rel_tol=1e-14
     )
     assert math.isclose(oddkit.matrix_norm(a, NormSpec("op")), oddkit.op_norm_l2(a), rel_tol=1e-12)
+    # a base that is no string, NormSpec or callable is refused, also by
+    # the evaluators that take a base norm
+    for call in (
+        lambda: oddkit.matrix_norm(a, 2.0),
+        lambda: oddkit.besov_norm_solid_lp(a, 2.0, 1.0),
+        lambda: oddkit.modulus(a, None, 0.5),
+        lambda: oddkit.approx_error(a, 1, 2.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_nan_parameters_refused():
