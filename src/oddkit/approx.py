@@ -49,6 +49,8 @@ def approx_errors(matrix, base, n_max=None):
     """
     if n_max is None:
         n_max = 2 * matrix.window
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return np.zeros(n_max + 1)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification-property failure, 2 configuration or
 parse error, 3 numerical non-convergence.  A ``key = value`` config file can
-preload any subcommand flag; explicit flags win.
+preload any subcommand flag; explicit flags win, and a repeatable flag
+(``--spec``, ``--suite``, ``--norm``) given on the command line replaces the
+config's value instead of adding to it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -20,7 +21,6 @@ from . import approx as _approx
 from . import bessel as _bessel
 from . import lab as _lab
 from . import lattice as _lattice
-from . import norms as _norms
 from . import smoothness as _smoothness
 from . import verify as _verify
 
@@ -140,13 +140,18 @@ def _convert(action, raw):
     return value
 
 
-def _apply_config(subparser, pairs):
+def _apply_config(subparser, pairs, explicit):
+    """Config values become the subcommand's defaults, except for repeatable
+    flags given on the command line (``explicit``, parsed without the
+    config), which argparse would otherwise append to the config list."""
     actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     defaults = {}
     for key, raw in pairs.items():
         if key not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        defaults[key] = _convert(actions[key], raw)
+        value = _convert(actions[key], raw)
+        if not (isinstance(actions[key], argparse._AppendAction) and getattr(explicit, key)):
+            defaults[key] = value
     subparser.set_defaults(**defaults)
 
 
@@ -192,7 +197,7 @@ def _cmd_norm(args):
 
 def _cmd_besov(args):
     matrix = _load_matrix(args.path)
-    p = _norms._parse_p(args.p)
+    p = float(args.p)
     kwargs = {"order": args.order, "grid": args.grid}
     values = {
         "modulus": _smoothness.besov_norm_modulus(matrix, args.base, args.r, p, **kwargs),
@@ -209,11 +214,11 @@ def _cmd_besov(args):
 
 def _cmd_approx(args):
     matrix = _load_matrix(args.path)
-    p = _norms._parse_p(args.p)
+    p = float(args.p)
     value = _approx.approx_space_norm(matrix, args.base, args.r, p, form=args.form)
+    errors = _approx.approx_errors(matrix, args.base, n_max=args.n_max) if args.errors else None
     print(f"approx[{args.form},r={args.r:g},p={args.p}] = {_fmt(value)}")
-    if args.errors:
-        errors = _approx.approx_errors(matrix, args.base, n_max=args.n_max)
+    if errors is not None:
         print("window,base,n,error")
         for n, err in enumerate(errors):
             print(f"{matrix.window},{args.base},{n},{_fmt(err)}")
@@ -359,7 +364,7 @@ def main(argv=None):
             parser.print_help()
             return 2
         if getattr(args, "config", None):
-            _apply_config(registry[args.command], _read_config(args.config))
+            _apply_config(registry[args.command], _read_config(args.config), args)
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (_bessel.QuadratureError, _lab.SingularSectionError, np.linalg.LinAlgError) as exc:

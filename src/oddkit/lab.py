@@ -134,8 +134,8 @@ def corpus(seed, window, count=100, dim=1):
 def make_invertible(matrix, margin=2.0):
     """margin * ||A||_op * I + A; margin > 1 keeps the condition number
     at most (margin + 1) / (margin - 1).  Rejects the zero matrix."""
-    if margin <= 1.0:
-        raise ValueError("margin must be > 1")
+    if not 1.0 < margin < math.inf:
+        raise ValueError(f"margin must be finite and > 1, got {margin}")
     nrm = op_norm_l2(matrix)
     if nrm == 0.0:
         raise ValueError("cannot shift the zero matrix into invertibility")

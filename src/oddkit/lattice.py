@@ -555,6 +555,8 @@ def _reduced_t(t, dim):
     t = np.asarray(t, dtype=float)
     if t.shape != (dim,):
         raise ValueError(f"t must have {dim} components")
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
     return np.mod(t, 1.0)
 
 

@@ -108,8 +108,8 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.kind == "op" and self.weight is not None:
             raise ValueError("operator norm is not solid; weights not allowed")
-        if not (self.r >= 0):
-            raise ValueError("r must be >= 0")
+        if not 0 <= self.r < math.inf:
+            raise ValueError("r must be finite and >= 0")
         if not (self.p >= 1):
             raise ValueError("p must be in [1, inf]")
 
@@ -334,27 +334,49 @@ def _one_row(matrix, spec):
 # -- string grammar -----------------------------------------------------------
 
 
-def _parse_params(text, allowed):
-    params = {}
+def _fields(text, allowed):
+    """``{key: value text}`` of ``key=value`` fields split on the commas that
+    lie outside [...] brackets.  Empty, malformed, unknown and repeated keys
+    and unbalanced brackets are refused; both spec grammars read their
+    parameters through here."""
+    fields = {}
     if not text:
-        return params
-    for tok in text.split(","):
-        if "=" not in tok:
-            raise ValueError(f"malformed parameter {tok!r}")
-        key, val = tok.split("=", 1)
+        return fields
+    depth = start = 0
+    for i, ch in enumerate(text + ","):
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            raise ValueError(f"unbalanced brackets in {text!r}")
+        if ch != "," or depth:
+            continue
+        key, eq, value = text[start:i].partition("=")
         key = key.strip()
+        if not eq or not key:
+            raise ValueError(f"expected key=value, got {text[start:i]!r} in {text!r}")
         if key not in allowed:
             raise ValueError(f"unknown parameter {key!r}")
-        params[key] = val.strip()
-    return params
+        if key in fields:
+            raise ValueError(f"repeated parameter {key!r}")
+        fields[key] = value.strip()
+        start = i + 1
+    if depth:
+        raise ValueError(f"unbalanced brackets in {text!r}")
+    return fields
 
 
-def _parse_p(text):
-    if text in ("inf", "Inf", "INF"):
-        return math.inf
-    return float(text)
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _read_bool(text):
+    value = _BOOLS.get(text.lower())
+    if value is None:
+        raise ValueError(f"{text!r} is not a boolean")
+    return value
+
+
+# the parameters each norm kind takes, in canonical order, and their readers
+_KIND_KEYS = {"op": (), "jaffard": ("r",), "schur": ("p", "r"), "cpr": ("p", "r", "literal")}
+_READERS = {"p": float, "r": float, "literal": _read_bool}
 _WEIGHT_ALIASES = {"poly": "poly", "polynomial": "poly", "bessel": "bessel"}
 
 
@@ -367,48 +389,18 @@ def parse_norm_spec(text):
         end = text.find("]")
         if end < 0:
             raise ValueError(f"unterminated weight in {text!r}")
-        wtext = text[2:end]
-        text = text[end + 1 :]
-        if ":" in wtext:
-            wkind, wparams = wtext.split(":", 1)
-        else:
-            wkind, wparams = wtext, ""
+        wkind, _, wparams = text[2:end].partition(":")
         wkind = _WEIGHT_ALIASES.get(wkind.strip())
         if wkind is None:
-            raise ValueError(f"unknown weight kind in {wtext!r}")
-        params = _parse_params(wparams, {"r"})
-        weight = Weight(wkind, float(params.get("r", 0.0)))
-    if ":" in text:
-        kind, rest = text.split(":", 1)
-    else:
-        kind, rest = text, ""
+            raise ValueError(f"unknown weight kind in {text[:end + 1]!r}")
+        weight = Weight(wkind, float(_fields(wparams, ("r",)).get("r", 0.0)))
+        text = text[end + 1 :]
+    kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind == "op":
-        if rest or weight is not None:
-            raise ValueError("operator norm takes no parameters or weights")
-        return NormSpec("op")
-    if kind == "jaffard":
-        params = _parse_params(rest, {"r"})
-        return NormSpec("jaffard", r=float(params.get("r", 0.0)), weight=weight)
-    if kind == "schur":
-        params = _parse_params(rest, {"p", "r"})
-        return NormSpec(
-            "schur",
-            p=_parse_p(params.get("p", "inf")),
-            r=float(params.get("r", 0.0)),
-            weight=weight,
-        )
-    if kind == "cpr":
-        params = _parse_params(rest, {"p", "r", "literal"})
-        literal = params.get("literal", "false").lower() in ("1", "true", "yes")
-        return NormSpec(
-            "cpr",
-            p=_parse_p(params.get("p", "inf")),
-            r=float(params.get("r", 0.0)),
-            weight=weight,
-            literal=literal,
-        )
-    raise ValueError(f"unknown norm kind {kind!r}")
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    params = {k: _READERS[k](v) for k, v in _fields(rest, _KIND_KEYS[kind]).items()}
+    return NormSpec(kind, weight=weight, **params)
 
 
 def _fmt_float(x):
@@ -419,14 +411,9 @@ def _fmt_float(x):
 
 def format_norm_spec(spec):
     """Canonical string for a NormSpec; parse(format(s)) == s."""
-    prefix = ""
-    if spec.weight is not None:
-        prefix = f"w[{spec.weight.kind}:r={_fmt_float(spec.weight.r)}]"
-    if spec.kind == "op":
-        return "op"
-    if spec.kind == "jaffard":
-        return f"{prefix}jaffard:r={_fmt_float(spec.r)}"
-    body = f"{spec.kind}:p={_fmt_float(spec.p)},r={_fmt_float(spec.r)}"
-    if spec.kind == "cpr" and spec.literal:
-        body += ",literal=true"
-    return prefix + body
+    prefix = "" if spec.weight is None else f"w[{spec.weight.kind}:r={_fmt_float(spec.weight.r)}]"
+    keys = _KIND_KEYS[spec.kind]
+    params = [f"{k}={_fmt_float(getattr(spec, k))}" for k in keys if k != "literal"]
+    if "literal" in keys and spec.literal:
+        params.append("literal=true")
+    return f"{prefix}{spec.kind}:{','.join(params)}" if params else spec.kind

@@ -23,6 +23,10 @@ p < inf) evaluate the whole stack at once through
 :func:`~oddkit.norms.stack_norm`, which also makes iterated (reiteration)
 norms affordable.  Schur at p < inf, ``op`` and callables take one scaled
 matrix per multiplier; that generic loop is also the tests' oracle.
+
+Smoothness norms are addressed through :class:`BesovSpec` and the string
+grammar ``besov:base=...,r=...,p=...``, whose keys the norm grammar's
+tokenizer reads, so both grammars refuse the same malformed input.
 """
 
 from __future__ import annotations
@@ -143,11 +147,10 @@ def besov_norm_modulus(
     p=math.inf,
     order=None,
     grid=None,
-    level_min=0,
     level_max=None,
 ):
     """Base norm plus the dyadic modulus sum
-    ``( sum_l (2^{r l} w_k(2^{-l}))^p )^{1/p}`` over l = level_min..level_max.
+    ``( sum_l (2^{r l} w_k(2^{-l}))^p )^{1/p}`` over l = 0..level_max.
 
     The difference order defaults to floor(r) + 1 and must exceed floor(r);
     level_max defaults to ceil(log2(2W)) + 2.
@@ -159,12 +162,12 @@ def besov_norm_modulus(
         raise ValueError(f"difference order {order} must exceed floor(r)={math.floor(r)}")
     if level_max is None:
         level_max = _default_level_max(matrix.window)
-    if level_max < level_min:
-        raise ValueError("level_max must be >= level_min")
+    if level_max < 0:
+        raise ValueError("level_max must be >= 0")
     base = _norms._coerce_spec(base)
     vals = [
         2.0 ** (r * l) * modulus(matrix, base, 2.0**-l, order=order, grid=grid)
-        for l in range(level_min, level_max + 1)
+        for l in range(level_max + 1)
     ]
     return float(_norms.matrix_norm(matrix, base) + _lp_combine(vals, p))
 
@@ -275,7 +278,7 @@ _METHODS = ("modulus", "solidlp", "philp")
 class BesovSpec:
     """Parameters of a smoothness norm: base norm, smoothness r > 0,
     summability p, difference order (default floor(r) + 1), evaluator
-    method, and the modulus grid/levels."""
+    method, and the modulus grid and top dyadic level."""
 
     base: object
     r: float
@@ -283,7 +286,6 @@ class BesovSpec:
     order: int | None = None
     method: str = "modulus"
     grid: int | None = None
-    level_min: int = 0
     level_max: int | None = None
 
     def __post_init__(self):
@@ -306,7 +308,6 @@ def besov_norm(matrix, spec):
             spec.p,
             order=spec.order,
             grid=spec.grid,
-            level_min=spec.level_min,
             level_max=spec.level_max,
         )
     if spec.method == "solidlp":
@@ -331,72 +332,39 @@ def parse_any_spec(text):
     return _norms.parse_norm_spec(text)
 
 
-def _split_top_level(text):
-    """Split on commas, honoring one level of [...] brackets."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced brackets in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(cur))
-    return [p for p in parts if p]
+def _read_base(text):
+    """A base norm spec, brackets around one that contains commas dropped."""
+    if text.startswith("[") and text.endswith("]"):
+        text = text[1:-1]
+    return _norms.parse_norm_spec(text)
+
+
+# grammar key -> (BesovSpec field, reader), in canonical order
+_BESOV_KEYS = {
+    "base": ("base", _read_base),
+    "r": ("r", float),
+    "p": ("p", float),
+    "method": ("method", str),
+    "k": ("order", int),
+    "grid": ("grid", int),
+    "lmax": ("level_max", int),
+}
 
 
 def parse_besov_spec(text):
-    """Parse ``besov:base=...,r=...,p=...,method=...[,k=...,grid=...]``.
+    """Parse ``besov:base=...,r=...[,p=...,method=...,k=...,grid=...,lmax=...]``.
 
     A base that itself contains commas (e.g. a schur norm) must be wrapped
-    in brackets: ``base=[schur:p=1,r=0]``.
+    in brackets: ``base=[schur:p=1,r=0]``.  Keys are read by the norm
+    grammar's tokenizer, so empty, unknown and repeated keys are refused.
     """
     text = text.strip()
     if not text.startswith("besov:"):
         raise ValueError(f"not a besov spec: {text!r}")
-    body = text[len("besov:") :]
-    kwargs = {}
-    seen = set()
-    for tok in _split_top_level(body):
-        if "=" not in tok:
-            raise ValueError(f"malformed parameter {tok!r}")
-        key, val = tok.split("=", 1)
-        key, val = key.strip(), val.strip()
-        if key in seen:
-            raise ValueError(f"duplicate besov parameter {key!r}")
-        seen.add(key)
-        if key == "base":
-            if val.startswith("[") and val.endswith("]"):
-                val = val[1:-1]
-            kwargs["base"] = _norms.parse_norm_spec(val)
-        elif key == "r":
-            kwargs["r"] = float(val)
-        elif key == "p":
-            kwargs["p"] = math.inf if val.lower() == "inf" else float(val)
-        elif key == "k":
-            kwargs["order"] = int(val)
-        elif key == "method":
-            kwargs["method"] = val
-        elif key == "grid":
-            kwargs["grid"] = int(val)
-        elif key == "lmin":
-            kwargs["level_min"] = int(val)
-        elif key == "lmax":
-            kwargs["level_max"] = int(val)
-        else:
-            raise ValueError(f"unknown besov parameter {key!r}")
-    if "base" not in kwargs or "r" not in kwargs:
+    fields = _norms._fields(text[len("besov:") :], _BESOV_KEYS)
+    if "base" not in fields or "r" not in fields:
         raise ValueError("besov spec needs at least base=... and r=...")
-    return BesovSpec(**kwargs)
+    return BesovSpec(**{_BESOV_KEYS[k][0]: _BESOV_KEYS[k][1](v) for k, v in fields.items()})
 
 
 def format_besov_spec(spec):
@@ -404,19 +372,11 @@ def format_besov_spec(spec):
     base = _norms.format_norm_spec(spec.base)
     if "," in base:
         base = f"[{base}]"
-    if math.isinf(spec.p):
-        p_txt = "inf"
-    else:
-        p_txt = repr(float(spec.p))
-    out = f"besov:base={base},r={repr(float(spec.r))},p={p_txt},method={spec.method}"
-    if spec.order is not None:
-        out += f",k={spec.order}"
-    if spec.grid is not None:
-        out += f",grid={spec.grid}"
-    if spec.level_min != 0:
-        out += f",lmin={spec.level_min}"
-    if spec.level_max is not None:
-        out += f",lmax={spec.level_max}"
+    fmt = _norms._fmt_float
+    out = f"besov:base={base},r={fmt(spec.r)},p={fmt(spec.p)},method={spec.method}"
+    for key, value in (("k", spec.order), ("grid", spec.grid), ("lmax", spec.level_max)):
+        if value is not None:
+            out += f",{key}={value}"
     return out
 
 
@@ -502,20 +462,21 @@ class ContinuityDefect:
     tail_exponent: float
 
 
-def continuity_defect(matrix, base, h_values, order=1, grid=None, tail_exponent=None):
+def continuity_defect(matrix, base, h_values, order=1, grid=None):
+    """Moduli of ``base`` at each h, and the tail profile with the weight
+    exponent of a solid NormSpec base (0 for ``op`` and callables): the
+    jaffard band-approximation errors E_1, ..., E_N, N = max |m|_inf."""
     spec = _norms._coerce_spec(base)
     h_values = tuple(float(h) for h in h_values)
     mods = tuple(modulus(matrix, spec, h, order=order, grid=grid) for h in h_values)
-    if tail_exponent is None:
-        tail_exponent = spec.r if isinstance(spec, _norms.NormSpec) and spec.is_solid else 0.0
-    offs, env = matrix.envelope()
+    tail_exponent = spec.r if isinstance(spec, _norms.NormSpec) and spec.is_solid else 0.0
+    offs = matrix.offset_array()
     if offs.shape[0] == 0:
         return ContinuityDefect(h_values, mods, (), (), order, tail_exponent)
-    sup = np.abs(offs).max(axis=1)
-    w = _norms.polynomial_weight(offs, tail_exponent) * env
-    n_max = int(sup.max())
-    tail_n = tuple(range(0, n_max))
-    tail = tuple(
-        float(w[sup > n].max()) if (sup > n).any() else 0.0 for n in tail_n
+    from .approx import approx_errors  # approx imports this module
+
+    n_max = int(np.abs(offs).max())
+    tail = approx_errors(matrix, _norms.NormSpec("jaffard", r=tail_exponent), n_max)[1:]
+    return ContinuityDefect(
+        h_values, mods, tuple(range(n_max)), tuple(tail.tolist()), order, tail_exponent
     )
-    return ContinuityDefect(h_values, mods, tail_n, tail, order, tail_exponent)

@@ -28,6 +28,8 @@ def test_approx_error_pinned():
         assert math.isclose(oddkit.approx_error(g, n, "jaffard:r=0"), 2.0**-n, rel_tol=1e-14)
     with pytest.raises(ValueError):
         oddkit.approx_error(a, -1, "jaffard:r=0")
+    with pytest.raises(ValueError):
+        approx_errors(a, "jaffard:r=0", n_max=-3)
 
 
 def test_approx_errors_sweep_matches_loop():

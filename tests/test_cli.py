@@ -190,6 +190,22 @@ def test_config_defaults_and_flag_priority(tmp_path, monkeypatch):
     assert (tmp_path / "det-r2.5-W8.json").exists()
 
 
+def test_config_repeatable_flags_replaced_by_explicit_ones(tmp_path, capsys):
+    eye = _save(LatticeMatrix.identity(1, 4), tmp_path)
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("spec = op\n")
+    assert main(["norm", "--in", eye, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "op = 1\n"
+    assert main(["norm", "--in", eye, "--config", str(cfg), "--spec", "jaffard:r=0"]) == 0
+    assert capsys.readouterr().out == "jaffard:r=0 = 1\n"
+
+    vcfg = tmp_path / "v.cfg"
+    vcfg.write_text("suite = partition\nW = 8\nn = 2\n")
+    assert main(["verify", "--config", str(vcfg), "--suite", "group-law"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[1] for ln in lines] == ["group-law"]
+
+
 def test_config_boolean_and_unknown_key(tmp_path, capsys):
     one = _save(single_diagonal(4, 1), tmp_path)
     cfg = tmp_path / "b.cfg"
@@ -256,3 +272,30 @@ def test_norm_refuses_nan_parameter_exit_2(tmp_path, capsys):
     eye = _save(LatticeMatrix.identity(1, 4), tmp_path)
     assert main(["norm", "--in", eye, "--spec", "jaffard:r=nan"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_range_parameters_exit_2(tmp_path, capsys):
+    eye = _save(LatticeMatrix.identity(1, 4), tmp_path)
+    far = _save(single_diagonal(6, 2), tmp_path, "far.json")
+    table = [
+        ["norm", "--in", eye, "--spec", spec]
+        for spec in (
+            "jaffard:r=1,r=2",
+            "w[bessel:r=1,r=2]jaffard:r=0",
+            "cpr:p=2,literal=ture",
+            "jaffard:r=inf",
+            "besov:base=jaffard:r=0,r=0.5,lmin=1",
+            "besov:base=jaffard:r=0,r=0.5,",
+            "schur:p=1,r=0]",
+        )
+    ]
+    table += [
+        ["report", "--W", "16", "--margin", "nan", "--out", str(tmp_path / "rep")],
+        ["report", "--W", "16", "--margin", "inf", "--out", str(tmp_path / "rep")],
+        ["approx", "--in", far, "--n-max", "-3", "--errors"],
+    ]
+    for argv in table:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:") and "LAPACK" not in captured.err, argv

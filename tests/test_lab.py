@@ -90,8 +90,9 @@ def test_make_invertible():
     assert smin >= 1.0 - 1e-12
     with pytest.raises(ValueError):
         oddkit.make_invertible(LatticeMatrix.zeros(1, 6))
-    with pytest.raises(ValueError):
-        oddkit.make_invertible(u, margin=1.0)
+    for margin in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            oddkit.make_invertible(u, margin=margin)
 
 
 def test_invert_finite_section_basics():

@@ -153,6 +153,12 @@ def test_modulate_fixed_points():
     assert oddkit.modulate(a, 1.0) == a  # periodicity, bit exact
     d2 = random_matrix(9, 2, dim=2)
     assert oddkit.modulate(d2, (0.0, 1.0)) == d2
+    # a non-finite t would turn every factor into NaN
+    for call, t in ((oddkit.modulate, math.nan), (oddkit.difference, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            call(a, t)
+    with pytest.raises(ValueError, match="finite"):
+        oddkit.modulate(d2, (0.5, -math.inf))
 
 
 def test_modulate_single_diagonal_quarter_turn():

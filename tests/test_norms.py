@@ -319,7 +319,25 @@ def test_grammar_round_trip():
 def test_grammar_accepts_aliases_and_rejects_junk():
     assert oddkit.parse_norm_spec("w[polynomial:r=1]jaffard:r=0").weight.kind == "poly"
     assert oddkit.parse_norm_spec("schur:p=inf,r=2").p == math.inf
-    for bad in ("fro", "jaffard:q=2", "schur:p", "w[bessel:r=1", "w[box:r=1]op", "jaffard:r=-1"):
+    assert oddkit.parse_norm_spec("cpr:p=2,literal=YES").literal
+    assert not oddkit.parse_norm_spec("cpr:p=2,literal=0").literal
+    for bad in (
+        "fro",
+        "jaffard:q=2",
+        "schur:p",
+        "w[bessel:r=1",
+        "w[box:r=1]op",
+        "jaffard:r=-1",
+        "jaffard:r=inf",
+        "jaffard:r=1,r=2",
+        "schur:p=1,p=2",
+        "w[bessel:r=1,r=2]jaffard:r=0",
+        "cpr:p=2,literal=ture",
+        "cpr:p=2,literal=",
+        "jaffard:r=1,",
+        "schur:p=1,r=0]",
+        "op:r=0",
+    ):
         with pytest.raises(ValueError):
             oddkit.parse_norm_spec(bad)
 
@@ -350,6 +368,8 @@ def test_nan_parameters_refused():
         NormSpec("jaffard", r=float("nan"))
     with pytest.raises(ValueError):
         NormSpec("schur", p=float("nan"))
+    with pytest.raises(ValueError):
+        NormSpec("jaffard", r=math.inf)
     for bad in (float("nan"), math.inf, -math.inf):
         with pytest.raises(ValueError):
             Weight("poly", bad)

@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oddkit
-from oddkit import BesovSpec, DyadicPartition, LatticeMatrix, NormSpec, ParameterDomainWarning
+from oddkit import BesovSpec, DyadicPartition, LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
 from oddkit.smoothness import _default_level_max
 
 from conftest import random_matrix, single_diagonal
@@ -250,12 +252,55 @@ def test_besov_grammar_round_trip():
         "besov:base=jaffard:r=0.0,r=0.5,p=inf,method=solidlp",
         "besov:base=[schur:p=1.0,r=0.0],r=1.5,p=2.0,method=modulus,k=2",
         "besov:base=[cpr:p=2.0,r=1.5],r=0.75,p=1.0,method=philp",
-        "besov:base=jaffard:r=2.0,r=1.0,p=inf,method=modulus,grid=32,lmin=1,lmax=8",
+        "besov:base=jaffard:r=2.0,r=1.0,p=inf,method=modulus,grid=32,lmax=8",
     ]
     for text in texts:
         spec = oddkit.parse_besov_spec(text)
         assert oddkit.format_besov_spec(spec) == text
         assert oddkit.parse_besov_spec(oddkit.format_besov_spec(spec)) == spec
+
+
+_PS = st.just(math.inf) | st.floats(1.0, 1e6)
+_WEIGHTS = st.none() | st.builds(
+    Weight, st.sampled_from(("poly", "bessel")), st.floats(-1e3, 1e3, allow_nan=False)
+)
+
+
+@st.composite
+def _norm_specs(draw):
+    kind = draw(st.sampled_from(("op", "jaffard", "schur", "cpr")))
+    if kind == "op":
+        return NormSpec("op")
+    return NormSpec(
+        kind,
+        p=math.inf if kind == "jaffard" else draw(_PS),
+        r=draw(st.floats(0.0, 1e3)),
+        weight=draw(_WEIGHTS),
+        literal=kind == "cpr" and draw(st.booleans()),
+    )
+
+
+@st.composite
+def _besov_specs(draw):
+    r = draw(st.floats(1e-3, 50.0))
+    order = st.integers(math.floor(r) + 1, math.floor(r) + 4)
+    return BesovSpec(
+        draw(_norm_specs()),
+        r,
+        draw(_PS),
+        order=draw(st.none() | order),
+        method=draw(st.sampled_from(("modulus", "solidlp", "philp"))),
+        grid=draw(st.none() | st.integers(8, 128)),
+        level_max=draw(st.none() | st.integers(0, 12)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_norm_specs(), _besov_specs())
+def test_grammar_round_trip_property(norm, besov):
+    assert oddkit.parse_norm_spec(oddkit.format_norm_spec(norm)) == norm
+    assert oddkit.parse_besov_spec(oddkit.format_besov_spec(besov)) == besov
+    assert oddkit.parse_any_spec(oddkit.format_besov_spec(besov)) == besov
 
 
 def test_besov_grammar_bracketed_base():
@@ -267,6 +312,12 @@ def test_besov_grammar_bracketed_base():
         "besov:base=[schur:p=1,r=0,r=0.5",
         "besov:base=jaffard:r=0,r=0.5,mode=solidlp",
         "besov:base=jaffard:r=0,r=0.5,r=1.0",
+        "besov:base=jaffard:r=0,r=0.5,lmin=1",
+        "besov:base=jaffard:r=0,r=0.5,",
+        "besov:base=jaffard:r=0,,r=0.5",
+        "besov:base=jaffard:r=0,r=0.5]",
+        "besov:base=jaffard:r=0,r=0.5,method=philp,method=modulus",
+        "besov:base=[schur:p=1,r=0,p=2],r=0.5",
     ):
         with pytest.raises(ValueError):
             oddkit.parse_besov_spec(bad)
