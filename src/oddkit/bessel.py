@@ -110,21 +110,17 @@ class HypersingularQuadrature:
         """Panel edges on [2^-LEVELS, 1]: dyadic cutoffs plus phase
         half-periods k / (2 freq)."""
         lo = 2.0**-LEVELS
-        edges = {1.0}
-        edges.update(2.0**-j for j in range(1, LEVELS + 1))
+        edges = [1.0, *self.eps_grid]
         if freq > 0:
             half = 0.5 / freq
-            k0 = max(1, int(math.ceil(lo / half)))
-            edges.update(
-                k * half for k in range(k0, int(math.floor(1.0 / half)) + 1)
-            )
-        arr = np.array(sorted(edges))
-        return arr[(arr >= lo - 1e-18) & (arr <= 1.0 + 1e-18)]
+            k = np.arange(max(1, math.ceil(lo / half)), math.floor(1.0 / half) + 1)
+            edges = np.concatenate([edges, k * half])
+        edges = np.unique(edges)
+        return edges[(edges >= lo - 1e-18) & (edges <= 1.0 + 1e-18)]
 
-    def _panel_values(self, freq, nodes):
-        """Per-panel integrals of the radial integrand at the given node
-        count, as (edges, panel_integrals)."""
-        edges = self._edges(freq)
+    def _panel_values(self, freq, edges, nodes):
+        """Per-panel integrals of the radial integrand between consecutive
+        ``edges`` at the given node count."""
         lo, hi = edges[:-1], edges[1:]
         x_gl, w_gl = self._gauss(nodes)
         half = 0.5 * (hi - lo)
@@ -139,21 +135,22 @@ class HypersingularQuadrature:
 
             ang = (j0(z) - 1.0) * 2.0 * np.pi
         vals = ang * x ** (-1.0 - self.r)
-        return edges, (vals * w).sum(axis=1)
+        return (vals * w).sum(axis=1)
 
     def _mu_row(self, freq):
         """mu_eps for one |m|_2, over the full cutoff grid (decreasing eps)."""
         if freq == 0.0:
             return np.zeros(LEVELS)
+        edges = self._edges(freq)
+        # panels are bounded by the dyadic edges, so each cutoff lands
+        # exactly on a panel boundary
+        idx = np.searchsorted(edges, np.asarray(self.eps_grid), side="left")
         prev = None
         nodes = 16
         while nodes <= MAX_NODES:
-            edges, panels = self._panel_values(freq, nodes)
+            panels = self._panel_values(freq, edges, nodes)
             csum = np.concatenate([[0.0], np.cumsum(panels[::-1])])[::-1]
-            # panels are bounded by the dyadic edges, so each cutoff lands
-            # exactly on a panel boundary
-            idx = np.searchsorted(edges, np.asarray(self.eps_grid), side="left")
-            row = csum[np.minimum(idx, len(csum) - 1)]
+            row = csum[idx]
             if prev is not None:
                 scale = np.maximum(np.abs(row), 1e-12)
                 if np.max(np.abs(row - prev) / scale) < REL_TOL:

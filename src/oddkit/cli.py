@@ -109,7 +109,7 @@ def _build_parser():
 
 
 def _read_config(path):
-    pairs = {}
+    pairs, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
@@ -118,7 +118,10 @@ def _read_config(path):
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, raw = text.partition("=")
-            pairs[key.strip().replace("-", "_")] = raw.strip()
+            key = key.strip().replace("-", "_")
+            if key in pairs:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+            pairs[key], lines[key] = raw.strip(), lineno
     return pairs
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smoothness as _smoothness
-from .lattice import LatticeMatrix
-from .norms import op_norm_l2
+from .lattice import LatticeMatrix, _drop_zero, _lengths
+from .norms import _dense_singular_extremes, _real_if_exact, op_norm_l2
 
 __all__ = [
     "DecayModel",
@@ -71,17 +71,10 @@ class DecayModel:
         if kind is None:
             raise ValueError(f"unknown decay model kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
-        if self.exponent < 0:
+        if not self.exponent >= 0:
             raise ValueError("exponent must be >= 0")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be > 0")
-
-
-def _all_offsets(dim, band):
-    rng = range(-band, band + 1)
-    if dim == 1:
-        return [(m,) for m in rng]
-    return [(m1, m2) for m1 in rng for m2 in rng]
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and > 0")
 
 
 def generate(model, window, dim=1, band=None):
@@ -91,7 +84,9 @@ def generate(model, window, dim=1, band=None):
     full window, band = 2W).  Same model and geometry always reproduce the
     same matrix bit for bit.
     """
-    window = int(window)
+    dim, window = int(dim), int(window)
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2")
     if window < 1:
         raise ValueError("window must be >= 1")
     if band is None:
@@ -99,20 +94,21 @@ def generate(model, window, dim=1, band=None):
     band = int(band)
     if not (0 <= band <= 2 * window):
         raise ValueError("band must lie in [0, 2W]")
+    axis = np.arange(-band, band + 1, dtype=np.int64)
+    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    lens = _lengths(window, offs)
+    # scalar Python powers: numpy's ** differs from them in the last bit
+    env = [(1.0 + math.sqrt(sum(m * m for m in off))) ** -model.exponent for off in offs.tolist()]
+    env = np.repeat(model.amplitude * np.array(env), lens)
+    # one draw in buffer order is the stream of one draw per diagonal
     rng = np.random.default_rng(model.seed)
-    diags = {}
-    for off in _all_offsets(dim, band):
-        dist = math.sqrt(sum(m * m for m in off))
-        env = model.amplitude * (1.0 + dist) ** (-model.exponent)
-        shape = tuple(2 * window + 1 - abs(m) for m in off)
-        if model.kind == "det":
-            arr = np.full(shape, env, dtype=np.complex128)
-        elif model.kind == "phase":
-            arr = env * np.exp(2j * np.pi * rng.random(shape))
-        else:
-            arr = (env * rng.random(shape)).astype(np.complex128)
-        diags[off] = arr
-    return LatticeMatrix(dim, window, diags)
+    if model.kind == "det":
+        buf = env.astype(np.complex128)
+    elif model.kind == "phase":
+        buf = env * np.exp(2j * np.pi * rng.random(env.size))
+    else:
+        buf = (env * rng.random(env.size)).astype(np.complex128)
+    return LatticeMatrix._raw(dim, window, *_drop_zero(offs, buf, lens))
 
 
 def corpus(seed, window, count=100, dim=1):
@@ -148,9 +144,9 @@ def _norm_bound(x):
 
 
 def _singular_value_gate(dense, sv_gate):
-    svals = np.linalg.svd(dense, compute_uv=False)
-    if svals[-1] < sv_gate * svals[0]:
-        ratio = svals[-1] / svals[0]
+    s_max, s_min = _dense_singular_extremes(dense)
+    if s_min < sv_gate * s_max:
+        ratio = s_min / s_max
         raise SingularSectionError(f"section numerically singular: s_min/s_max = {ratio:.3e}")
 
 
@@ -165,8 +161,9 @@ def invert_finite_section(matrix, sv_gate=1e-10, residual_gate=1e-8):
     >= ||X||_2, and by its exact O(n^3) test only when that is inconclusive:
     with X = inv(B) and a passing residual R, ||B^-1||_2 <= beta(X) / (1 -
     ||R||_2), so 2 (1 + residual_gate) beta(B) beta(X) < 1/sv_gate passes it.
+    A real section is inverted in real arithmetic.
     """
-    dense = matrix.to_dense()
+    dense = _real_if_exact(matrix.to_dense())
     if matrix.is_zero():
         raise SingularSectionError("zero matrix has no inverse")
     try:
@@ -352,7 +349,7 @@ def spectral_invariance_report(model, windows, norms=None, margin=2.0, dim=1):
         a = generate(model, window, dim=dim)
         b = make_invertible(a, margin=margin)
         b_inv = invert_finite_section(b)
-        svals = np.linalg.svd(b.to_dense(), compute_uv=False)
+        s_max, s_min = _dense_singular_extremes(b.to_dense())
         norm_table = {
             text: {
                 "forward": _smoothness.evaluate(b, spec),
@@ -362,8 +359,8 @@ def spectral_invariance_report(model, windows, norms=None, margin=2.0, dim=1):
         }
         return InvarianceCell(
             window=window,
-            condition=float(svals[0] / svals[-1]),
-            op_norm_forward=float(svals[0]),
+            condition=s_max / s_min,
+            op_norm_forward=s_max,
             profile_forward=decay_profile(b),
             profile_inverse=decay_profile(b_inv),
             norms=norm_table,

@@ -252,7 +252,7 @@ class LatticeMatrix:
         i.e. index (k1 + W) * (2W+1) + (k2 + W).  Non-finite entries are
         refused.
         """
-        dense = np.asarray(dense, dtype=np.complex128)
+        dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("dense window matrix must be square")
         if dim not in (1, 2):
@@ -266,7 +266,8 @@ class LatticeMatrix:
         if side != 2 * window + 1 or window < 1:
             raise ValueError("dense size does not match window")
         offs, _, lens, flat = _small_layout(dim, window) or _build_layout(dim, window)
-        buf = dense.ravel()[flat]
+        # gather before widening: no complex copy of a real matrix
+        buf = dense.ravel()[flat].astype(np.complex128, copy=False)
         if not np.isfinite(buf).all():
             raise ValueError("dense matrix has non-finite entries")
         return cls._raw(dim, window, *_drop_zero(offs, buf, lens))

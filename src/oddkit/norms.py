@@ -129,19 +129,42 @@ def _diag_matvec(op, x, conj=False):
     return op @ x
 
 
+def _real_if_exact(dense):
+    """``dense`` as float64 when its imaginary part is all zero."""
+    if np.iscomplexobj(dense) and not dense.imag.any():
+        return np.ascontiguousarray(dense.real)
+    return dense
+
+
+def _dense_singular_extremes(dense):
+    """(s_max, s_min) of a dense square matrix: real arithmetic for a real
+    one, ``eigvalsh`` (|eigenvalues| are the singular values) for one that
+    equals its conjugate transpose exactly, the values-only SVD otherwise."""
+    dense = _real_if_exact(dense)
+    # real part symmetric, imaginary part antisymmetric: no complex copy
+    if np.array_equal(dense.real, dense.real.T) and (
+        not np.iscomplexobj(dense) or np.array_equal(dense.imag, -dense.imag.T)
+    ):
+        svals = np.abs(np.linalg.eigvalsh(dense))
+        return float(svals.max()), float(svals.min())
+    svals = np.linalg.svd(dense, compute_uv=False)
+    return float(svals[0]), float(svals[-1])
+
+
 def op_norm_l2(matrix, tol=1e-10):
     """Operator norm on l^2 of the window (largest singular value).
 
-    Windows up to 2048 rows go through a dense SVD.  Larger ones run ARPACK
-    (svds, k=1), or power iteration on A*A where ARPACK fails, over a COO
-    array on :meth:`LatticeMatrix.coordinates`, built per call: O(stored
-    entries) memory, dropped on return.
+    Windows up to 2048 rows go through the dense kernel
+    :func:`_dense_singular_extremes`.  Larger ones run ARPACK (svds, k=1), or
+    power iteration on A*A where ARPACK fails, over a COO array on
+    :meth:`LatticeMatrix.coordinates`, built per call: O(stored entries)
+    memory, dropped on return.
     """
     if matrix.is_zero():
         return 0.0
     n = matrix.n_rows
     if n <= 2048:
-        return float(np.linalg.svd(matrix.to_dense(), compute_uv=False)[0])
+        return _dense_singular_extremes(matrix.to_dense())[0]
     from scipy.sparse import coo_array
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 

@@ -206,6 +206,20 @@ def test_config_repeatable_flags_replaced_by_explicit_ones(tmp_path, capsys):
     assert [ln.split()[1] for ln in lines] == ["group-law"]
 
 
+def test_config_refuses_repeated_keys(tmp_path, capsys):
+    eye = _save(LatticeMatrix.identity(1, 4), tmp_path)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("spec = op\n# a second spec\nspec = jaffard:r=1\n")
+    assert main(["norm", "--in", eye, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:3: config key 'spec' repeats line 1" in captured.err
+    # dashes and underscores name the same key
+    cfg.write_text("n-max = 4\n\nn_max = 8\n")
+    assert main(["approx", "--in", eye, "--config", str(cfg)]) == 2
+    assert f"{cfg}:3: config key 'n_max' repeats line 1" in capsys.readouterr().err
+
+
 def test_config_boolean_and_unknown_key(tmp_path, capsys):
     one = _save(single_diagonal(4, 1), tmp_path)
     cfg = tmp_path / "b.cfg"

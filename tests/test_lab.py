@@ -21,6 +21,11 @@ def test_model_validation_and_aliases():
         DecayModel("det", -1.0)
     with pytest.raises(ValueError):
         DecayModel("det", 1.0, amplitude=0.0)
+    # refused at the model, not as a non-finite entry of the drawn matrix
+    with pytest.raises(ValueError, match="exponent"):
+        DecayModel("det", math.nan)
+    with pytest.raises(ValueError, match="amplitude"):
+        DecayModel("mag", 1.0, amplitude=math.inf)
 
 
 def test_generate_det_exact_formula():
@@ -48,6 +53,35 @@ def test_generate_envelope_bound_random_kinds():
             for off, arr in a.diagonals():
                 d = math.sqrt(sum(x * x for x in off))
                 assert np.allclose(np.abs(arr), (1.0 + d) ** -2.5, rtol=1e-12)
+
+
+def _generate_by_diagonal(model, window, dim, band):
+    """Reference generator: one RNG draw per diagonal into a dict."""
+    rng = np.random.default_rng(model.seed)
+    axis = range(-band, band + 1)
+    offsets = [(m,) for m in axis] if dim == 1 else [(m1, m2) for m1 in axis for m2 in axis]
+    diags = {}
+    for off in offsets:
+        env = model.amplitude * (1.0 + math.sqrt(sum(m * m for m in off))) ** (-model.exponent)
+        shape = tuple(2 * window + 1 - abs(m) for m in off)
+        if model.kind == "det":
+            diags[off] = np.full(shape, env, dtype=np.complex128)
+        elif model.kind == "phase":
+            diags[off] = env * np.exp(2j * np.pi * rng.random(shape))
+        else:
+            diags[off] = (env * rng.random(shape)).astype(np.complex128)
+    return LatticeMatrix(dim, window, diags)
+
+
+@pytest.mark.parametrize("kind", ["det", "phase", "mag"])
+@pytest.mark.parametrize("dim,window", [(1, 9), (2, 4)])
+@pytest.mark.parametrize("band", [None, 0, 3])
+def test_generate_matches_per_diagonal_reference(kind, dim, window, band):
+    model = DecayModel(kind, 2.7, amplitude=1.3, seed=2**40 + 11)
+    got = oddkit.generate(model, window, dim=dim, band=band)
+    want = _generate_by_diagonal(model, window, dim, 2 * window if band is None else band)
+    assert got.offsets() == want.offsets()
+    assert got == want
 
 
 def test_generate_determinism_and_band():
@@ -165,18 +199,24 @@ def test_invert_finite_section_exact_singularity():
 
 
 def _count_exact_tests(monkeypatch):
+    """Count the O(n^3) spectral calls: SVDs, eigvalsh and exact 2-norms."""
     calls = {"svd": 0, "norm2": 0}
-    svd, norm = np.linalg.svd, np.linalg.norm
+    svd, eigvalsh, norm = np.linalg.svd, np.linalg.eigvalsh, np.linalg.norm
 
     def counting_svd(*args, **kwargs):
         calls["svd"] += 1
         return svd(*args, **kwargs)
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["svd"] += 1
+        return eigvalsh(*args, **kwargs)
 
     def counting_norm(x, ord=None, *args, **kwargs):
         calls["norm2"] += ord == 2
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     return calls
 
@@ -203,7 +243,9 @@ def test_invert_finite_section_certified_without_exact_tests(monkeypatch):
     calls = _count_exact_tests(monkeypatch)
     got = oddkit.invert_finite_section(b)
     assert calls == {"svd": 0, "norm2": 0}
-    assert np.array_equal(got.to_dense(), np.linalg.inv(b.to_dense()))
+    # a real section is inverted in real arithmetic
+    assert np.array_equal(got.to_dense(), np.linalg.inv(b.to_dense().real))
+    assert np.allclose(got.to_dense(), np.linalg.inv(b.to_dense()), rtol=1e-13, atol=0)
 
 
 def test_invert_neumann_closed_form():
@@ -288,10 +330,14 @@ def test_report_cell_matches_dense_inversion():
     model = DecayModel("mag", 2.5, seed=4)
     rep = oddkit.spectral_invariance_report(model, (16,), norms=("jaffard:r=2.5",))
     b = oddkit.make_invertible(oddkit.generate(model, 16))
-    svals = np.linalg.svd(b.to_dense(), compute_uv=False)
+    # the mag section is real and not symmetric: a real values-only SVD
+    svals = np.linalg.svd(b.to_dense().real, compute_uv=False)
     cell = rep.cells[0]
     assert cell.op_norm_forward == svals[0]
     assert cell.condition == svals[0] / svals[-1]
+    complex_svals = np.linalg.svd(b.to_dense(), compute_uv=False)
+    assert math.isclose(cell.op_norm_forward, complex_svals[0], rel_tol=1e-13)
+    assert math.isclose(cell.condition, complex_svals[0] / complex_svals[-1], rel_tol=1e-13)
     b_inv = oddkit.invert_finite_section(b)
     assert cell.norms["jaffard:r=2.5"]["inverse"] == oddkit.matrix_norm(b_inv, "jaffard:r=2.5")
     assert cell.profile_inverse == oddkit.decay_profile(b_inv)

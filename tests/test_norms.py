@@ -6,7 +6,7 @@ import pytest
 
 import oddkit
 from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
-from oddkit.norms import diagonal_separable, diagonal_values, stack_norm
+from oddkit.norms import _dense_singular_extremes, diagonal_separable, diagonal_values, stack_norm
 
 from conftest import (
     coo_operator,
@@ -47,6 +47,70 @@ def test_op_norm_matches_svd():
         a = random_matrix(100 + dim, w, dim=dim)
         want = float(np.linalg.svd(a.to_dense(), compute_uv=False)[0])
         assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-12)
+
+
+def _extremes_cases():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    rank_one = np.ones((17, 17), dtype=complex)
+    no_last_column = rng.standard_normal((17, 17)).astype(complex)
+    no_last_column[:, -1] = 0.0
+
+    def section(kind):
+        model = oddkit.DecayModel(kind, 2.5, seed=3)
+        return oddkit.make_invertible(oddkit.generate(model, 16)).to_dense()
+
+    return {
+        "complex-hermitian": (x + x.conj().T, "eigvalsh"),
+        "det": (section("det"), "eigvalsh"),
+        "mag": (section("mag"), "svd"),
+        "phase": (section("phase"), "svd"),
+        "singular-hermitian": (rank_one, "eigvalsh"),
+        "singular": (no_last_column, "svd"),
+        "1x1-real": (np.array([[-2.5 + 0j]]), "eigvalsh"),
+        "1x1-complex": (np.array([[3.0 - 4.0j]]), "svd"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_extremes_cases()))
+def test_dense_singular_extremes_match_complex_svd(case, monkeypatch):
+    dense, path = _extremes_cases()[case]
+    want = np.linalg.svd(dense, compute_uv=False)
+    calls = {"svd": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    s_max, s_min = _dense_singular_extremes(dense)
+    assert calls == {"svd": path == "svd", "eigvalsh": path == "eigvalsh"}
+    assert math.isclose(s_max, want[0], rel_tol=1e-13)
+    if case.startswith("singular"):
+        assert s_min <= 1e-13 * s_max and want[-1] <= 1e-13 * want[0]
+    else:
+        assert math.isclose(s_min, want[-1], rel_tol=1e-13)
+
+
+def test_dense_singular_extremes_hermitian_test_is_exact():
+    # one ulp off symmetric in the real part, or a real diagonal in the
+    # imaginary part, is no longer Hermitian and takes the SVD
+    h = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
+    for at, bump in (((0, 1), np.spacing(1.0)), ((0, 0), 1j)):
+        a = h.copy()
+        a[at] += bump
+        want = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(_dense_singular_extremes(a), (want[0], want[-1]), rtol=1e-13, atol=0)
+
+
+def test_op_norm_dense_kernel_matches_svd():
+    for kind in ("det", "phase", "mag"):
+        for dim, w in ((1, 64), (2, 4)):
+            a = oddkit.generate(oddkit.DecayModel(kind, 2.0, seed=11), w, dim=dim)
+            want = float(np.linalg.svd(a.to_dense(), compute_uv=False)[0])
+            assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-12)
 
 
 def test_op_norm_iterative_path():
