@@ -17,12 +17,12 @@ the matrix and its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import smoothness as _smoothness
-from .lattice import LatticeMatrix, _drop_zero, _lengths
+from .lattice import LatticeMatrix, _drop_zero, _offset_table
 from .norms import _dense_singular_extremes, _real_if_exact, op_norm_l2
 
 __all__ = [
@@ -94,9 +94,7 @@ def generate(model, window, dim=1, band=None):
     band = int(band)
     if not (0 <= band <= 2 * window):
         raise ValueError("band must lie in [0, 2W]")
-    axis = np.arange(-band, band + 1, dtype=np.int64)
-    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    lens = _lengths(window, offs)
+    offs, lens = _offset_table(dim, window, band)
     # scalar Python powers: numpy's ** differs from them in the last bit
     env = [(1.0 + math.sqrt(sum(m * m for m in off))) ** -model.exponent for off in offs.tolist()]
     env = np.repeat(model.amplitude * np.array(env), lens)
@@ -143,8 +141,7 @@ def _norm_bound(x):
     return math.sqrt(np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf))
 
 
-def _singular_value_gate(dense, sv_gate):
-    s_max, s_min = _dense_singular_extremes(dense)
+def _singular_value_gate(s_max, s_min, sv_gate):
     if s_min < sv_gate * s_max:
         ratio = s_min / s_max
         raise SingularSectionError(f"section numerically singular: s_min/s_max = {ratio:.3e}")
@@ -169,18 +166,21 @@ def invert_finite_section(matrix, sv_gate=1e-10, residual_gate=1e-8):
     try:
         inv = np.linalg.inv(dense)
     except np.linalg.LinAlgError:
-        _singular_value_gate(dense, sv_gate)
+        # exactly singular: the complex SVD, so that the reported ratio does
+        # not depend on whether the section narrowed to real
+        svals = np.linalg.svd(matrix.to_dense(), compute_uv=False)
+        _singular_value_gate(svals[0], svals[-1], sv_gate)
         raise
     certified = 2 * (1 + residual_gate) * sv_gate * _norm_bound(dense) * _norm_bound(inv) < 1
     if not certified:
-        _singular_value_gate(dense, sv_gate)
+        _singular_value_gate(*_dense_singular_extremes(dense), sv_gate)
     resid = dense @ inv
     np.fill_diagonal(resid, resid.diagonal() - 1.0)
     if not _norm_bound(resid) <= residual_gate:
         resid_norm = np.linalg.norm(resid, 2)
         if resid_norm > residual_gate:
             if certified:  # the certificate assumed a passing residual
-                _singular_value_gate(dense, sv_gate)
+                _singular_value_gate(*_dense_singular_extremes(dense), sv_gate)
             raise SingularSectionError(f"inverse failed the residual check: {resid_norm:.3e}")
     return LatticeMatrix.from_dense(inv, matrix.dim, matrix.window)
 
@@ -291,12 +291,7 @@ class InvarianceReport:
 
     def to_dict(self):
         return {
-            "model": {
-                "kind": self.model.kind,
-                "exponent": self.model.exponent,
-                "amplitude": self.model.amplitude,
-                "seed": self.model.seed,
-            },
+            "model": asdict(self.model),
             "margin": self.margin,
             "dim": self.dim,
             "windows": list(self.windows),

@@ -125,13 +125,19 @@ def _small_layout(dim, window):
     return None
 
 
+def _offset_table(dim, window, band):
+    """Every offset with |m|_inf <= band in sorted order, and the length of
+    each diagonal in the window."""
+    axis = np.arange(-band, band + 1, dtype=np.int64)
+    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    return offs, _lengths(window, offs)
+
+
 def _build_layout(dim, window):
     """Every offset of the window in sorted order, the buffer start and
     length of each diagonal and, for each entry of the full buffer, its
     index in the flattened dense window matrix (int32 where that fits)."""
-    axis = np.arange(-2 * window, 2 * window + 1, dtype=np.int64)
-    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    lens = _lengths(window, offs)
+    offs, lens = _offset_table(dim, window, 2 * window)
     rows, cols = _coordinates(window, offs, lens)
     flat = rows.astype(np.int32 if rows.size < 2**31 else np.intp)  # n_rows^2 entries
     flat *= (2 * window + 1) ** dim

@@ -138,13 +138,10 @@ def _real_if_exact(dense):
 
 def _dense_singular_extremes(dense):
     """(s_max, s_min) of a dense square matrix: real arithmetic for a real
-    one, ``eigvalsh`` (|eigenvalues| are the singular values) for one that
-    equals its conjugate transpose exactly, the values-only SVD otherwise."""
+    one, ``eigvalsh`` (|eigenvalues| are the singular values) for a real one
+    that equals its transpose exactly, the values-only SVD otherwise."""
     dense = _real_if_exact(dense)
-    # real part symmetric, imaginary part antisymmetric: no complex copy
-    if np.array_equal(dense.real, dense.real.T) and (
-        not np.iscomplexobj(dense) or np.array_equal(dense.imag, -dense.imag.T)
-    ):
+    if not np.iscomplexobj(dense) and np.array_equal(dense, dense.T):
         svals = np.abs(np.linalg.eigvalsh(dense))
         return float(svals.max()), float(svals.min())
     svals = np.linalg.svd(dense, compute_uv=False)
