@@ -151,6 +151,23 @@ def _build_layout(dim, window):
 _cached_layout = functools.lru_cache(maxsize=8)(_build_layout)
 
 
+def _flat_index(n, rows, cols):
+    """rows * n + cols, the flat positions in an n x n matrix, formed in
+    ``rows`` in place where n^2 fits its dtype (int32 up to 46340 rows)."""
+    flat = rows if n * n <= np.iinfo(rows.dtype).max else rows.astype(np.intp)
+    flat *= n
+    flat += cols
+    return flat
+
+
+def _scatter(n, flat, values):
+    """The n x n matrix, in the dtype of ``values``, holding ``values`` at
+    the flat positions ``flat`` and zero elsewhere."""
+    dense = np.zeros(n * n, dtype=values.dtype)
+    dense[flat] = values
+    return dense.reshape(n, n)
+
+
 class LatticeMatrix:
     """Finite-window matrix over Z^d stored diagonal by diagonal.
 
@@ -366,7 +383,7 @@ class LatticeMatrix:
         layout = _small_layout(self.dim, self.window)
         if layout is None:
             rows, cols, _ = self.coordinates()  # no window-sized map
-            return rows.astype(np.intp) * self.n_rows + cols
+            return _flat_index(self.n_rows, rows, cols)
         full_offs, full_starts, _, flat = layout
         if self._offs.shape[0] == full_offs.shape[0]:
             return flat
@@ -374,10 +391,7 @@ class LatticeMatrix:
         return flat[_ranges(at, self._lens)]
 
     def to_dense(self):
-        n_rows = self.n_rows
-        dense = np.zeros(n_rows * n_rows, dtype=np.complex128)
-        dense[self._dense_index()] = self._buf
-        return dense.reshape(n_rows, n_rows)
+        return _scatter(self.n_rows, self._dense_index(), self._buf)
 
     # -- algebra --------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeMatrix
+from .lattice import LatticeMatrix, _flat_index, _scatter
 
 __all__ = [
     "NormSpec",
@@ -148,31 +148,50 @@ def _dense_singular_extremes(dense):
     return float(svals[0]), float(svals[-1])
 
 
+def _product_operator(matrix):
+    """The window as the operand of the iterative op-norm products, in the
+    section's own arithmetic (float64 when its imaginary part is all zero)
+    and storage: the dense matrix when at least half of the entries are
+    stored (BLAS gemv), else a COO array on
+    :meth:`LatticeMatrix.coordinates` (O(stored entries))."""
+    n = matrix.n_rows
+    rows, cols, vals = matrix.coordinates()
+    if not vals.imag.any():
+        vals = vals.real  # a strided view: no float64 copy of the buffer
+    if 2 * vals.size >= n * n:
+        return _scatter(n, _flat_index(n, rows, cols), vals)
+    from scipy.sparse import coo_array
+
+    # a sparse product would copy strided data on every call
+    return coo_array((np.ascontiguousarray(vals), (rows, cols)), shape=(n, n))
+
+
 def op_norm_l2(matrix, tol=1e-10):
     """Operator norm on l^2 of the window (largest singular value).
 
     Windows up to 2048 rows go through the dense kernel
     :func:`_dense_singular_extremes`.  Larger ones run ARPACK (svds, k=1), or
-    power iteration on A*A where ARPACK fails, over a COO array on
-    :meth:`LatticeMatrix.coordinates`, built per call: O(stored entries)
-    memory, dropped on return.
+    power iteration on A*A where ARPACK fails, over
+    :func:`_product_operator`, built per call and dropped on return.  A
+    section whose imaginary part is all zero runs real ARPACK and real start
+    vectors.  A section with at least rows^2 / 2 stored entries multiplies as
+    the dense matrix in its own dtype (at most twice the buffer's bytes), any
+    other one as a COO array in O(stored entries) memory.
     """
     if matrix.is_zero():
         return 0.0
     n = matrix.n_rows
     if n <= 2048:
         return _dense_singular_extremes(matrix.to_dense())[0]
-    from scipy.sparse import coo_array
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
-    rows, cols, vals = matrix.coordinates()
-    coo = coo_array((vals, (rows, cols)), shape=(n, n))
-    coo_t = coo.T  # A* x = conj(A.T conj(x)); one transposed view, not one per product
+    a = _product_operator(matrix)
+    a_t = a.T  # A* x = conj(A.T conj(x)); one transposed view, not one per product
     op = LinearOperator(
         (n, n),
-        matvec=lambda x: _diag_matvec(coo, x),
-        rmatvec=lambda x: _diag_matvec(coo_t, x, conj=True),
-        dtype=np.complex128,
+        matvec=lambda x: _diag_matvec(a, x),
+        rmatvec=lambda x: _diag_matvec(a_t, x, conj=True),
+        dtype=a.dtype,
     )
     rng = np.random.default_rng(0x5EED)
     v0 = rng.standard_normal(n)
@@ -184,11 +203,13 @@ def op_norm_l2(matrix, tol=1e-10):
         pass
     best = 0.0
     for _ in range(2):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n)
+        if np.iscomplexobj(a):
+            v = v + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         lam = 0.0
         for _ in range(10_000):
-            w = _diag_matvec(coo_t, _diag_matvec(coo, v), conj=True)
+            w = _diag_matvec(a_t, _diag_matvec(a, v), conj=True)
             lam = float(np.real(np.vdot(v, w)))
             # |lam - lam_true| <= ||B v - lam v|| for Hermitian B = A*A
             if np.linalg.norm(w - lam * v) <= 1e-9 * max(lam, 1e-300):

@@ -91,8 +91,11 @@ def random_matrix(seed, window, dim=1, density=1.0, scale=1.0):
 
 
 def coo_operator(matrix):
-    """The window matrix as a scipy COO array on ``matrix.coordinates()``,
-    the operator that ``op_norm_l2`` hands to ARPACK."""
+    """The window matrix as a complex scipy COO array on
+    ``matrix.coordinates()``: the operator ``op_norm_l2`` multiplies through
+    for a complex section past the dense switch with fewer than rows^2 / 2
+    stored entries (real sections take float64, fuller ones the dense
+    section)."""
     from scipy.sparse import coo_array
 
     rows, cols, vals = matrix.coordinates()

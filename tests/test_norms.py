@@ -6,7 +6,14 @@ import pytest
 
 import oddkit
 from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
-from oddkit.norms import _dense_singular_extremes, diagonal_separable, diagonal_values, stack_norm
+from oddkit.norms import (
+    _dense_singular_extremes,
+    _diag_matvec,
+    _product_operator,
+    diagonal_separable,
+    diagonal_values,
+    stack_norm,
+)
 
 from conftest import (
     coo_operator,
@@ -437,24 +444,64 @@ def test_nan_parameters_refused():
             oddkit.parse_norm_spec(text)
 
 
-def _matrix_free_case():
+def _matrix_free_case(dominant=1.0 - 2.0j):
     # 47^2 = 2209 rows, so op_norm_l2 takes the ARPACK branch; a diagonal
     # matrix with one dominant entry has that entry's modulus as its norm
     rng = np.random.default_rng(5)
     vals = 0.5 * rng.random((47, 47)) + 0j
-    vals[10, 20] = 1.0 - 2.0j
-    return LatticeMatrix(2, 23, {(0, 0): vals}), abs(1.0 - 2.0j)
+    vals[10, 20] = dominant
+    return LatticeMatrix(2, 23, {(0, 0): vals}), abs(dominant)
+
+
+def _no_convergence(*args, **kwargs):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
 
 def test_op_norm_arpack_failure_falls_back(monkeypatch):
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr("scipy.sparse.linalg.svds", no_convergence)
+    monkeypatch.setattr("scipy.sparse.linalg.svds", _no_convergence)
     a, want = _matrix_free_case()
     assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-9)
+
+
+def test_op_norm_real_section_falls_back_in_real_arithmetic(monkeypatch):
+    seen = []
+
+    def recording(op, x, conj=False):
+        seen.append((op.dtype, x.dtype))
+        return _diag_matvec(op, x, conj)
+
+    monkeypatch.setattr("scipy.sparse.linalg.svds", _no_convergence)
+    monkeypatch.setattr("oddkit.norms._diag_matvec", recording)
+    a, want = _matrix_free_case(-2.5)
+    assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-9)
+    # the power iteration ran, on real start vectors and a real operator
+    assert len(seen) > 2 and set(seen) == {(np.dtype(np.float64),) * 2}
+
+
+def test_op_norm_full_real_section_multiplies_dense():
+    # 47^2 = 2209 rows, past the dense switch, every entry stored and real:
+    # the products are float64 gemv on the dense section, and the rank-one
+    # u v^T has the norm |u| |v|
+    rng = np.random.default_rng(23)
+    u, v = rng.standard_normal(47**2), rng.standard_normal(47**2)
+    a = LatticeMatrix.from_dense(np.outer(u, v), dim=2)
+    op = _product_operator(a)
+    assert type(op) is np.ndarray and op.dtype == np.float64
+    assert np.array_equal(op, a.to_dense().real)
+    want = np.linalg.norm(u) * np.linalg.norm(v)
+    assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-12)
+
+
+def test_op_norm_real_banded_section_matches_complex_path():
+    # 24k stored entries in 8001 rows: a real COO operator; times 1j, the
+    # same norm runs through the complex COO and complex ARPACK
+    a = oddkit.generate(oddkit.DecayModel("mag", 2.5, seed=1), 4000, band=1)
+    op = _product_operator(a)
+    assert op.format == "coo" and op.dtype == np.float64 and op.data.flags.c_contiguous
+    assert _product_operator(a * 1j).dtype == np.complex128
+    assert math.isclose(oddkit.op_norm_l2(a), oddkit.op_norm_l2(a * 1j), rel_tol=1e-12)
 
 
 def test_op_norm_other_errors_propagate(monkeypatch):
@@ -468,9 +515,8 @@ def test_op_norm_other_errors_propagate(monkeypatch):
 
 
 def test_diag_matvec_matches_dense():
-    from oddkit.norms import _diag_matvec
-
     rng = np.random.default_rng(11)
+    kinds = set()
     for dim, w in ((1, 4), (2, 2)):
         full = random_matrix(83 + dim, w, dim=dim, density=0.6)
         banded = oddkit.band_truncate(full, w)  # offsets up to w - 1 < 2W
@@ -478,16 +524,28 @@ def test_diag_matvec_matches_dense():
         assert len(banded.offsets()) < len(full.offsets())
         assert len(thinned.offsets()) < len(full.offsets())
         for a in (full, banded, thinned):
-            dense = a.to_dense()
-            op = coo_operator(a)
-            x = rng.standard_normal(a.n_rows) + 1j * rng.standard_normal(a.n_rows)
-            assert np.allclose(_diag_matvec(op, x), dense @ x, rtol=1e-13, atol=1e-13)
-            assert np.allclose(
-                _diag_matvec(op.T, x, conj=True), dense.conj().T @ x, rtol=1e-13, atol=1e-13
-            )
-            assert np.allclose(
-                _diag_matvec(op, x, conj=True), dense.conj() @ x, rtol=1e-13, atol=1e-13
-            )
+            real = LatticeMatrix.from_dense(a.to_dense().real, dim=dim)
+            for b in (a, real):
+                dense = b.to_dense()
+                # the complex COO, and the operator op_norm_l2 multiplies
+                # through: dense or COO, narrowed to float64 for ``real``
+                for op in (coo_operator(b), _product_operator(b)):
+                    kinds.add((type(op).__name__, op.dtype.name))
+                    xr = rng.standard_normal(b.n_rows)
+                    for x in (xr, xr + 1j * rng.standard_normal(b.n_rows)):
+                        assert np.allclose(_diag_matvec(op, x), dense @ x, rtol=1e-13, atol=1e-13)
+                        assert np.allclose(
+                            _diag_matvec(op.T, x, conj=True),
+                            dense.conj().T @ x,
+                            rtol=1e-13,
+                            atol=1e-13,
+                        )
+                        assert np.allclose(
+                            _diag_matvec(op, x, conj=True), dense.conj() @ x, rtol=1e-13, atol=1e-13
+                        )
+    assert kinds == {
+        (kind, dtype) for kind in ("ndarray", "coo_array") for dtype in ("float64", "complex128")
+    }
 
 
 def _constant_diagonals(dim, window, values):

@@ -332,9 +332,12 @@ def test_reiteration_single_diagonal_and_zero():
 
 
 def test_reiteration_fast_path_matches_generic():
+    # the callable oracle makes one difference matrix per grid point and
+    # level; 16 points, as in the stack-path tests below, keep it to about
+    # a second, and criterion 5 covers the default grid
     a = decay_matrix(10, 8)
-    fast = oddkit.reiteration_ratio(a, NormSpec("jaffard", r=0.0), 0.5, 0.5)
-    slow = oddkit.reiteration_ratio(a, lambda m: oddkit.jaffard_norm(m, 0.0), 0.5, 0.5)
+    fast = oddkit.reiteration_ratio(a, NormSpec("jaffard", r=0.0), 0.5, 0.5, grid=16)
+    slow = oddkit.reiteration_ratio(a, lambda m: oddkit.jaffard_norm(m, 0.0), 0.5, 0.5, grid=16)
     assert math.isclose(fast, slow, rel_tol=1e-10)
 
 
