@@ -115,16 +115,17 @@ class CprShiftReport:
     s: float
 
 
-def cpr_shift_identity_check(matrix, p, q, r, s, form="sum"):
-    """Compare E^q_s over cpr(p, r) with E^q_{s+r} over cpr(p, 0), and when
-    p == q also with the plain cpr(p, r + s) norm."""
+def cpr_shift_identity_check(matrix, p, q, r, s):
+    """Compare E^q_s over cpr(p, r) with E^q_{s+r} over cpr(p, 0), both in
+    the sum form of :func:`approx_space_norm`, and when p == q also with the
+    plain cpr(p, r + s) norm."""
     _check_smoothness(s, q)
     if matrix.is_zero():
         raise ValueError("check undefined for the zero matrix")
     base_r = _norms.NormSpec("cpr", p=p, r=r)
     base_0 = _norms.NormSpec("cpr", p=p, r=0.0)
-    lhs = approx_space_norm(matrix, base_r, s, q, form=form)
-    rhs = approx_space_norm(matrix, base_0, s + r, q, form=form)
+    lhs = approx_space_norm(matrix, base_r, s, q)
+    rhs = approx_space_norm(matrix, base_0, s + r, q)
     ratio = lhs / rhs if rhs else math.inf
     direct = None
     ratio_direct = None

@@ -21,6 +21,7 @@ from . import approx as _approx
 from . import bessel as _bessel
 from . import lab as _lab
 from . import lattice as _lattice
+from . import norms as _norms
 from . import smoothness as _smoothness
 from . import verify as _verify
 
@@ -125,18 +126,12 @@ def _read_config(path):
     return pairs
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
 def _convert(action, raw):
     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ValueError(f"config key {action.dest!r}: {raw!r} is not a boolean")
+        try:
+            return _norms._read_bool(raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {action.dest!r}: {exc}") from None
     value = action.type(raw) if action.type is not None else raw
     if isinstance(action, argparse._AppendAction):
         return [value]

@@ -48,6 +48,8 @@ _KIND_ALIASES = {
     "random-magnitude": "mag",
 }
 
+SV_GATE = 1e-10  # smallest singular value / largest below which a section is singular
+RESIDUAL_GATE = 1e-8  # largest ||B B^-1 - I||_op an accepted inverse may leave
 _FIT_MIN_POINTS = 8  # diagonals that the decay_profile fit window must hold
 
 
@@ -141,23 +143,23 @@ def _norm_bound(x):
     return math.sqrt(np.linalg.norm(x, 1) * np.linalg.norm(x, np.inf))
 
 
-def _singular_value_gate(s_max, s_min, sv_gate):
-    if s_min < sv_gate * s_max:
+def _singular_value_gate(s_max, s_min):
+    if s_min < SV_GATE * s_max:
         ratio = s_min / s_max
         raise SingularSectionError(f"section numerically singular: s_min/s_max = {ratio:.3e}")
 
 
-def invert_finite_section(matrix, sv_gate=1e-10, residual_gate=1e-8):
+def invert_finite_section(matrix):
     """Dense inverse of the window section, with safety checks.
 
     Raises :class:`SingularSectionError` when the smallest singular value
-    falls below ``sv_gate`` times the largest, or when the inverse fails the
-    residual check ||B B^-1 - I||_op <= residual_gate.
+    falls below ``SV_GATE`` times the largest, or when the inverse fails the
+    residual check ||B B^-1 - I||_op <= ``RESIDUAL_GATE``.
 
     Each gate is decided first in O(n^2) from beta(X) = sqrt(||X||_1 ||X||_inf)
     >= ||X||_2, and by its exact O(n^3) test only when that is inconclusive:
     with X = inv(B) and a passing residual R, ||B^-1||_2 <= beta(X) / (1 -
-    ||R||_2), so 2 (1 + residual_gate) beta(B) beta(X) < 1/sv_gate passes it.
+    ||R||_2), so 2 (1 + RESIDUAL_GATE) beta(B) beta(X) < 1/SV_GATE passes it.
     A real section is inverted in real arithmetic.
     """
     dense = _real_if_exact(matrix.to_dense())
@@ -169,18 +171,18 @@ def invert_finite_section(matrix, sv_gate=1e-10, residual_gate=1e-8):
         # exactly singular: the complex SVD, so that the reported ratio does
         # not depend on whether the section narrowed to real
         svals = np.linalg.svd(matrix.to_dense(), compute_uv=False)
-        _singular_value_gate(svals[0], svals[-1], sv_gate)
+        _singular_value_gate(svals[0], svals[-1])
         raise
-    certified = 2 * (1 + residual_gate) * sv_gate * _norm_bound(dense) * _norm_bound(inv) < 1
+    certified = 2 * (1 + RESIDUAL_GATE) * SV_GATE * _norm_bound(dense) * _norm_bound(inv) < 1
     if not certified:
-        _singular_value_gate(*_dense_singular_extremes(dense), sv_gate)
+        _singular_value_gate(*_dense_singular_extremes(dense))
     resid = dense @ inv
     np.fill_diagonal(resid, resid.diagonal() - 1.0)
-    if not _norm_bound(resid) <= residual_gate:
+    if not _norm_bound(resid) <= RESIDUAL_GATE:
         resid_norm = np.linalg.norm(resid, 2)
-        if resid_norm > residual_gate:
+        if resid_norm > RESIDUAL_GATE:
             if certified:  # the certificate assumed a passing residual
-                _singular_value_gate(*_dense_singular_extremes(dense), sv_gate)
+                _singular_value_gate(*_dense_singular_extremes(dense))
             raise SingularSectionError(f"inverse failed the residual check: {resid_norm:.3e}")
     return LatticeMatrix.from_dense(inv, matrix.dim, matrix.window)
 

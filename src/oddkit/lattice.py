@@ -139,9 +139,7 @@ def _build_layout(dim, window):
     index in the flattened dense window matrix (int32 where that fits)."""
     offs, lens = _offset_table(dim, window, 2 * window)
     rows, cols = _coordinates(window, offs, lens)
-    flat = rows.astype(np.int32 if rows.size < 2**31 else np.intp)  # n_rows^2 entries
-    flat *= (2 * window + 1) ** dim
-    flat += cols
+    flat = _flat_index((2 * window + 1) ** dim, rows, cols)
     layout = (offs, np.cumsum(lens) - lens, lens, flat)
     for arr in layout:
         arr.setflags(write=False)
@@ -697,12 +695,12 @@ def load_json(path):
         return from_json_dict(json.load(fh))
 
 
-def load_csv(path, window=None):
+def load_csv(path):
     """Import a dense matrix from (row, col, re, im) records, d = 1 only.
 
     Indices are lattice positions in [-W, W]; absent entries are zero.  The
-    window is inferred from the largest index unless given.  A repeated
-    (row, col) pair is refused, and so is a non-finite value.
+    window W is the largest |index| (at least 1).  A repeated (row, col)
+    pair is refused, and so is a non-finite value.
     """
     entries = {}
     with open(path) as fh:
@@ -717,11 +715,7 @@ def load_csv(path, window=None):
             entries[pos] = complex(float(rec[2]), float(rec[3]))
     if not entries:
         raise ValueError("empty matrix file")
-    extent = max(max(abs(r), abs(c)) for r, c in entries)
-    if window is None:
-        window = max(extent, 1)
-    elif extent > window:
-        raise ValueError(f"index {extent} outside window {window}")
+    window = max(1, max(max(abs(r), abs(c)) for r, c in entries))
     n = 2 * window + 1
     dense = np.zeros((n, n), dtype=np.complex128)
     for (r, c), value in entries.items():

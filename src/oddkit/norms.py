@@ -33,6 +33,8 @@ import numpy as np
 
 from .lattice import LatticeMatrix, _flat_index, _scatter
 
+OP_TOL = 1e-10  # ARPACK relative tolerance of op_norm_l2 past 2048 rows
+
 __all__ = [
     "NormSpec",
     "ParameterDomainWarning",
@@ -166,17 +168,18 @@ def _product_operator(matrix):
     return coo_array((np.ascontiguousarray(vals), (rows, cols)), shape=(n, n))
 
 
-def op_norm_l2(matrix, tol=1e-10):
+def op_norm_l2(matrix):
     """Operator norm on l^2 of the window (largest singular value).
 
     Windows up to 2048 rows go through the dense kernel
     :func:`_dense_singular_extremes`.  Larger ones run ARPACK (svds, k=1), or
     power iteration on A*A where ARPACK fails, over
-    :func:`_product_operator`, built per call and dropped on return.  A
-    section whose imaginary part is all zero runs real ARPACK and real start
-    vectors.  A section with at least rows^2 / 2 stored entries multiplies as
-    the dense matrix in its own dtype (at most twice the buffer's bytes), any
-    other one as a COO array in O(stored entries) memory.
+    :func:`_product_operator`, built per call and dropped on return; ARPACK
+    stops at the relative tolerance ``OP_TOL``.  A section whose imaginary
+    part is all zero runs real ARPACK and real start vectors.  A section with
+    at least rows^2 / 2 stored entries multiplies as the dense matrix in its
+    own dtype (at most twice the buffer's bytes), any other one as a COO
+    array in O(stored entries) memory.
     """
     if matrix.is_zero():
         return 0.0
@@ -196,7 +199,7 @@ def op_norm_l2(matrix, tol=1e-10):
     rng = np.random.default_rng(0x5EED)
     v0 = rng.standard_normal(n)
     try:
-        return float(svds(op, k=1, tol=tol, v0=v0, return_singular_vectors=False)[0])
+        return float(svds(op, k=1, tol=OP_TOL, v0=v0, return_singular_vectors=False)[0])
     except (ArpackNoConvergence, ArpackError):
         # ARPACK cannot restart on (near-)projection spectra; power iteration
         # on A*A with a Rayleigh residual stop handles exactly those
@@ -405,7 +408,10 @@ def _fields(text, allowed):
     return fields
 
 
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_BOOLS = {
+    **dict.fromkeys(("true", "yes", "on", "1"), True),
+    **dict.fromkeys(("false", "no", "off", "0"), False),
+}
 
 
 def _read_bool(text):

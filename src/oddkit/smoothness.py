@@ -452,7 +452,8 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
 @dataclass(frozen=True)
 class ContinuityDefect:
     """Moduli of continuity on a set of scales plus the weighted tail profile
-    sup_{|m|_inf > N} v_r(m) * sup|diagonal| as a function of N."""
+    sup_{|m|_inf > N} v_r(m) * sup|diagonal| as a function of N.  ``order``
+    is the difference order of the moduli, always 1."""
 
     h: tuple
     modulus: tuple
@@ -462,21 +463,22 @@ class ContinuityDefect:
     tail_exponent: float
 
 
-def continuity_defect(matrix, base, h_values, order=1, grid=None):
-    """Moduli of ``base`` at each h, and the tail profile with the weight
+def continuity_defect(matrix, base, h_values):
+    """First-order moduli of ``base`` at each h (on the default grid of
+    :func:`modulus`), and the tail profile with the weight
     exponent of a solid NormSpec base (0 for ``op`` and callables): the
     jaffard band-approximation errors E_1, ..., E_N, N = max |m|_inf."""
     spec = _norms._coerce_spec(base)
     h_values = tuple(float(h) for h in h_values)
-    mods = tuple(modulus(matrix, spec, h, order=order, grid=grid) for h in h_values)
+    mods = tuple(modulus(matrix, spec, h) for h in h_values)
     tail_exponent = spec.r if isinstance(spec, _norms.NormSpec) and spec.is_solid else 0.0
     offs = matrix.offset_array()
     if offs.shape[0] == 0:
-        return ContinuityDefect(h_values, mods, (), (), order, tail_exponent)
+        return ContinuityDefect(h_values, mods, (), (), 1, tail_exponent)
     from .approx import approx_errors  # approx imports this module
 
     n_max = int(np.abs(offs).max())
     tail = approx_errors(matrix, _norms.NormSpec("jaffard", r=tail_exponent), n_max)[1:]
     return ContinuityDefect(
-        h_values, mods, tuple(range(n_max)), tuple(tail.tolist()), order, tail_exponent
+        h_values, mods, tuple(range(n_max)), tuple(tail.tolist()), 1, tail_exponent
     )

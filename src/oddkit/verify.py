@@ -1,17 +1,20 @@
 """Empirical property checks over seeded corpora.
 
 Each ``measure_*`` routine returns the raw measured quantity (worst residual
-or ratio over a corpus); the suite layer wraps those in pass/fail verdicts
-for the command line.  Identities between library operations are evaluated
-on dense window sections, which is exactly what the finite-section product
-does, so a nonzero residual means an operation is wrong rather than an
-approximation being coarse.
+or ratio over a corpus) at fixed parameters: the solid norms
+``SOLID_SPECS``, the base norm ``BASE``, and the orders, bands, smoothness
+parameters and grids written in its body.  The suite table ``_SUITES`` turns
+each measurement into a pass/fail verdict and its stats for the command
+line.  Identities between library operations are evaluated on dense window
+sections, which is exactly what the finite-section product does, so a
+nonzero residual means an operation is wrong rather than an approximation
+being coarse.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from . import smoothness as _smoothness
 
 __all__ = ["SuiteResult", "all_suites", "run_suites"]
 
-DEFAULT_SOLID_SPECS = (
+SOLID_SPECS = (
     "jaffard:r=0",
     "jaffard:r=2",
     "schur:p=1,r=0",
@@ -33,7 +36,8 @@ DEFAULT_SOLID_SPECS = (
     "cpr:p=2,r=1.5",
     "w[bessel:r=1]jaffard:r=0",
 )
-
+SUBMULTIPLICATIVE_SPECS = ("schur:p=1,r=0", "jaffard:r=2", "cpr:p=1,r=0")
+BASE = "jaffard:r=0"
 BESOV_COMBOS = ((0.5, math.inf), (1.5, math.inf), (1.0, 1.0))
 
 
@@ -50,6 +54,13 @@ def _pairs(mats):
     if len(mats) % 2:
         out.append((mats[-1], mats[0]))
     return out
+
+
+def _equivalence(ratios):
+    """(C, ratios) with C = max(max r, 1/min r), the least constant that
+    bounds every ratio and its reciprocal (inf for no ratios)."""
+    c = max(max(ratios), 1.0 / min(ratios)) if ratios else math.inf
+    return c, ratios
 
 
 # -- identities of the modulation calculus ------------------------------------
@@ -73,12 +84,13 @@ def measure_leibniz(mats, ts):
     return worst
 
 
-def measure_quotient(mats, ts, margin=2.0):
+def measure_quotient(mats, ts):
     """Worst entrywise residual of
-    D_t(B^-1) = -chi_t(B^-1) D_t(B) B^-1 for shifted-invertible sections."""
+    D_t(B^-1) = -chi_t(B^-1) D_t(B) B^-1 for sections shifted into
+    invertibility with margin 2."""
     worst = 0.0
     for a in mats:
-        b = _lab.make_invertible(a, margin=margin)
+        b = _lab.make_invertible(a, margin=2.0)
         b_inv = _lab.invert_finite_section(b)
         inv_d = b_inv.to_dense()
         for t in ts:
@@ -102,12 +114,13 @@ def measure_group_law(mats, ts):
     return worst
 
 
-def measure_binomial(mats, ts, orders=(1, 2, 3)):
-    """Residual of D^k_t as the alternating binomial sum of modulations."""
+def measure_binomial(mats, ts):
+    """Residual of D^k_t, k = 1, 2, 3, as the alternating binomial sum of
+    modulations."""
     worst = 0.0
     for a in mats:
         for t in ts[:4]:
-            for k in orders:
+            for k in (1, 2, 3):
                 acc = _lattice.LatticeMatrix.zeros(a.dim, a.window)
                 for j in range(k + 1):
                     acc = acc + ((-1.0) ** (k - j) * math.comb(k, j)) * _lattice.modulate(
@@ -117,9 +130,9 @@ def measure_binomial(mats, ts, orders=(1, 2, 3)):
     return worst
 
 
-def measure_modulate_isometry(mats, ts, specs=DEFAULT_SOLID_SPECS):
+def measure_modulate_isometry(mats, ts):
     worst = 0.0
-    parsed = [_norms.parse_norm_spec(s) for s in specs]
+    parsed = [_norms.parse_norm_spec(s) for s in SOLID_SPECS]
     for a in mats:
         ref = [_norms.matrix_norm(a, sp) for sp in parsed]
         for t in ts:
@@ -131,11 +144,11 @@ def measure_modulate_isometry(mats, ts, specs=DEFAULT_SOLID_SPECS):
     return worst
 
 
-def measure_solidity(mats, seed, specs=DEFAULT_SOLID_SPECS):
+def measure_solidity(mats, seed):
     """Largest (signed) violation of norm monotonicity under entrywise
     domination; non-positive means solidity holds."""
     rng = np.random.default_rng(seed)
-    parsed = [_norms.parse_norm_spec(s) for s in specs]
+    parsed = [_norms.parse_norm_spec(s) for s in SOLID_SPECS]
     worst = -math.inf
     for a in mats:
         dominated = _lattice.LatticeMatrix(
@@ -151,13 +164,14 @@ def measure_solidity(mats, seed, specs=DEFAULT_SOLID_SPECS):
     return worst
 
 
-def measure_bernstein(mats, specs=DEFAULT_SOLID_SPECS, bands=(4, 8, 16)):
-    """max over the corpus of ||derivation(T_N A)|| / (2 pi N ||T_N A||);
-    at most 1 for every solid norm."""
-    parsed = [_norms.parse_norm_spec(s) for s in specs]
+def measure_bernstein(mats):
+    """max over the corpus and N = 4, 8, 16 of
+    ||derivation(T_N A)|| / (2 pi N ||T_N A||); at most 1 for every solid
+    norm."""
+    parsed = [_norms.parse_norm_spec(s) for s in SOLID_SPECS]
     worst = 0.0
     for a in mats:
-        for n in bands:
+        for n in (4, 8, 16):
             trunc = _lattice.band_truncate(a, n)
             if trunc.is_zero():
                 continue
@@ -176,50 +190,48 @@ def measure_bernstein(mats, specs=DEFAULT_SOLID_SPECS, bands=(4, 8, 16)):
 # -- equivalence constants ------------------------------------------------------
 
 
-def measure_besov_equivalence(mats, base="jaffard:r=0", combos=BESOV_COMBOS):
+def measure_besov_equivalence(mats, combos=BESOV_COMBOS):
     """All pairwise evaluator ratios; returns (C, ratios) where every ratio
     and its reciprocal is at most C."""
     ratios = []
     for a in mats:
         for r, p in combos:
-            m = _smoothness.besov_norm_modulus(a, base, r, p)
-            s = _smoothness.besov_norm_solid_lp(a, base, r, p)
-            f = _smoothness.besov_norm_phi_lp(a, base, r, p)
+            m = _smoothness.besov_norm_modulus(a, BASE, r, p)
+            s = _smoothness.besov_norm_solid_lp(a, BASE, r, p)
+            f = _smoothness.besov_norm_phi_lp(a, BASE, r, p)
             if min(m, s, f) <= 0:
                 continue
             ratios.extend((m / s, f / s, m / f))
-    c = max(max(ratios), 1.0 / min(ratios)) if ratios else math.inf
-    return c, ratios
+    return _equivalence(ratios)
 
 
-def measure_jackson_bernstein(mats, base="jaffard:r=0", combos=BESOV_COMBOS):
-    ratios = []
-    for a in mats:
-        for r, p in combos:
-            ratios.append(_approx.jackson_bernstein_ratio(a, base, r, p))
-    c = max(max(ratios), 1.0 / min(ratios)) if ratios else math.inf
-    return c, ratios
+def measure_jackson_bernstein(mats, combos=BESOV_COMBOS):
+    return _equivalence(
+        [_approx.jackson_bernstein_ratio(a, BASE, r, p) for a in mats for r, p in combos]
+    )
 
 
-def measure_reiteration(mats, base="jaffard:r=0", r=0.5, s=0.5, p=math.inf):
-    ratios = [_smoothness.reiteration_ratio(a, base, r, s, p) for a in mats]
-    c = max(max(ratios), 1.0 / min(ratios)) if ratios else math.inf
-    return c, ratios
+def measure_reiteration(mats):
+    """Two-pass/one-pass ratios at r = s = 1/2, p = inf, as (C, ratios)."""
+    return _equivalence(
+        [_smoothness.reiteration_ratio(a, BASE, 0.5, 0.5, math.inf) for a in mats]
+    )
 
 
 # -- multiplier identities -------------------------------------------------------
 
 
-def measure_bessel_exact(mats, rs=(0.5, 1.0, 1.9), base="jaffard:r=0"):
-    """Worst relative error of the exact multiplier identities: weighting
-    after damping returns the base norm, and damping composes additively."""
-    spec = _norms.parse_norm_spec(base) if isinstance(base, str) else base
+def measure_bessel_exact(mats):
+    """Worst relative error of the exact multiplier identities at r = 0.5,
+    1.0, 1.9: weighting after damping returns the base norm, and damping
+    composes additively."""
+    spec = _norms.parse_norm_spec(BASE)
     worst = 0.0
     for a in mats:
         ref = _norms.matrix_norm(a, spec)
         if ref == 0:
             continue
-        for r in rs:
+        for r in (0.5, 1.0, 1.9):
             damped = _bessel.bessel_convolve(a, r)
             v = _bessel.bessel_norm(damped, r, spec)
             worst = max(worst, abs(v - ref) / ref)
@@ -231,13 +243,12 @@ def measure_bessel_exact(mats, rs=(0.5, 1.0, 1.9), base="jaffard:r=0"):
     return worst
 
 
-def measure_embedding(mats, r=0.5, base="jaffard:r=0", quad=None):
-    """Maxima of the embedding-chain ratios over the corpus."""
-    if quad is None and mats:
-        quad = _bessel.HypersingularQuadrature(r, mats[0].dim)
+def measure_embedding(mats):
+    """Maxima of the embedding-chain ratios at r = 0.5 over the corpus."""
+    quad = _bessel.HypersingularQuadrature(0.5, mats[0].dim)
     lower, upper, shift, hyp = [], [], [], []
     for a in mats:
-        rep = _bessel.embedding_check(a, r, base, quad=quad)
+        rep = _bessel.embedding_check(a, 0.5, BASE, quad=quad)
         lower.append(rep.lower_ratio)
         upper.append(rep.upper_ratio)
         shift.append(rep.shift_ratio)
@@ -253,40 +264,43 @@ def measure_embedding(mats, r=0.5, base="jaffard:r=0", quad=None):
     }
 
 
-def measure_grid_convergence(mats, base="jaffard:r=0", hs=(1.0, 0.25, 0.0625), grid=64):
+def measure_grid_convergence(mats):
+    """Worst relative gap between the modulus on a 64-point and a 128-point
+    grid at h = 1, 1/4, 1/16."""
     worst = 0.0
     for a in mats:
-        for h in hs:
-            coarse = _smoothness.modulus(a, base, h, grid=grid)
-            fine = _smoothness.modulus(a, base, h, grid=2 * grid)
+        for h in (1.0, 0.25, 0.0625):
+            coarse = _smoothness.modulus(a, BASE, h, grid=64)
+            fine = _smoothness.modulus(a, BASE, h, grid=128)
             if fine > 0:
                 worst = max(worst, abs(fine - coarse) / fine)
     return worst
 
 
-def measure_partition(max_offset=512):
+def measure_partition():
+    """Worst error of the dyadic partition of unity over offsets 0..512."""
     part = _smoothness.DyadicPartition()
-    offs = np.arange(0, max_offset + 1).reshape(-1, 1)
+    offs = np.arange(0, 513).reshape(-1, 1)
     total = part.low_pass(offs)
-    k_top = int(math.ceil(math.log2(max_offset))) + 1
-    for k in range(0, k_top + 1):
+    for k in range(11):  # bands through ceil(log2 512) + 1
         total = total + part.band(k, offs)
     err = float(np.abs(total - 1.0).max())
     lp0 = float(part.low_pass(np.array([[0]]))[0])
     return max(err, abs(lp0 - 1.0))
 
 
-def measure_truncation_optimality(mats, base="jaffard:r=0", seed=7, bands=(2, 4, 8), trials=4):
-    """E_n(A) must not exceed ||A - C|| for any banded competitor C; returns
-    the largest signed excess (non-positive means truncation is optimal)."""
+def measure_truncation_optimality(mats, seed):
+    """E_n(A) must not exceed ||A - C|| for any banded competitor C (four
+    random ones per n = 2, 4, 8); returns the largest signed excess
+    (non-positive means truncation is optimal)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    base = _norms._coerce_spec(base)
+    base = _norms.parse_norm_spec(BASE)
     for a in mats:
-        for n in bands:
+        for n in (2, 4, 8):
             e_n = _approx.approx_error(a, n, base)
             trunc = _lattice.band_truncate(a, n)
-            for _ in range(trials):
+            for _ in range(4):
                 perturb = _lattice.LatticeMatrix(
                     a.dim,
                     a.window,
@@ -300,9 +314,9 @@ def measure_truncation_optimality(mats, base="jaffard:r=0", seed=7, bands=(2, 4,
     return worst
 
 
-def measure_submultiplicative(mats, specs=("schur:p=1,r=0", "jaffard:r=2", "cpr:p=1,r=0")):
+def measure_submultiplicative(mats):
     out = {}
-    for text in specs:
+    for text in SUBMULTIPLICATIVE_SPECS:
         spec = _norms.parse_norm_spec(text)
         worst = 0.0
         for a, b in _pairs(mats[: max(2, len(mats) // 4)]):
@@ -321,127 +335,83 @@ def measure_submultiplicative(mats, specs=("schur:p=1,r=0", "jaffard:r=2", "cpr:
 class SuiteResult:
     name: str
     passed: bool
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
     def to_dict(self):
         return {"name": self.name, "passed": self.passed, "stats": self.stats}
 
 
-def _suite_leibniz(mats, seed):
-    ts = t_values(seed, 8, mats[0].dim)
-    worst = measure_leibniz(mats, ts)
-    return SuiteResult("leibniz", worst < 1e-10, {"max_residual": worst})
+def _ts(mats, seed, count):
+    return t_values(seed, count, mats[0].dim)
 
 
-def _suite_quotient(mats, seed):
-    ts = t_values(seed, 4, mats[0].dim)
-    worst = measure_quotient(mats[: max(4, len(mats) // 4)], ts)
-    return SuiteResult("quotient", worst < 1e-10, {"max_residual": worst})
+def _head(mats, share):
+    """The first len(mats) // share matrices, but at least four."""
+    return mats[: max(4, len(mats) // share)]
 
 
-def _suite_group_law(mats, seed):
-    worst = measure_group_law(mats, t_values(seed, 6, mats[0].dim))
-    return SuiteResult("group-law", worst < 1e-12, {"max_residual": worst})
+def _below(key, value, gate):
+    return value < gate, {key: value}
 
 
-def _suite_binomial(mats, seed):
-    worst = measure_binomial(mats, t_values(seed, 4, mats[0].dim))
-    return SuiteResult("binomial", worst < 1e-12, {"max_residual": worst})
+def _at_most(key, value, bound):
+    return value <= bound, {key: value}
 
 
-def _suite_isometry(mats, seed):
-    worst = measure_modulate_isometry(mats, t_values(seed, 8, mats[0].dim))
-    return SuiteResult("isometry", worst < 1e-12, {"max_relative_drift": worst})
+def _bounded_equivalence(measured):
+    c, ratios = measured
+    return c <= 20.0, {"C": c, "min_ratio": min(ratios), "max_ratio": max(ratios)}
 
 
-def _suite_solidity(mats, seed):
-    worst = measure_solidity(mats, seed)
-    return SuiteResult("solidity", worst <= 0.0, {"max_violation": worst})
+def _all_finite_positive(stats):
+    return all(v is None or (v > 0 and math.isfinite(v)) for v in stats.values()), stats
 
 
-def _suite_bernstein(mats, seed):
-    worst = measure_bernstein(mats)
-    return SuiteResult("bernstein", worst <= 1.0, {"max_normalized_ratio": worst})
+def _schur_submultiplicative(stats):
+    ok = stats["schur:p=1,r=0"] <= 1.0 + 1e-12 and all(math.isfinite(v) for v in stats.values())
+    return ok, stats
 
 
-def _suite_lp_equivalence(mats, seed):
-    c, ratios = measure_besov_equivalence(mats)
-    return SuiteResult(
-        "lp-equivalence",
-        c <= 20.0,
-        {"C": c, "min_ratio": min(ratios), "max_ratio": max(ratios)},
-    )
-
-
-def _suite_jackson_bernstein(mats, seed):
-    c, ratios = measure_jackson_bernstein(mats)
-    return SuiteResult(
-        "jackson-bernstein",
-        c <= 20.0,
-        {"C": c, "min_ratio": min(ratios), "max_ratio": max(ratios)},
-    )
-
-
-def _suite_reiteration(mats, seed):
-    c, ratios = measure_reiteration(mats[: max(4, len(mats) // 2)])
-    return SuiteResult(
-        "reiteration",
-        c <= 20.0,
-        {"C": c, "min_ratio": min(ratios), "max_ratio": max(ratios)},
-    )
-
-
-def _suite_bessel_exact(mats, seed):
-    worst = measure_bessel_exact(mats)
-    return SuiteResult("bessel-exact", worst < 1e-12, {"max_relative_error": worst})
-
-
-def _suite_embedding(mats, seed):
-    stats = measure_embedding(mats[: max(4, len(mats) // 4)])
-    ok = all(v is None or (v > 0 and math.isfinite(v)) for v in stats.values())
-    return SuiteResult("embedding", ok, stats)
-
-
-def _suite_grid(mats, seed):
-    worst = measure_grid_convergence(mats[: max(4, len(mats) // 4)])
-    return SuiteResult("grid-convergence", worst < 0.01, {"max_relative_gap": worst})
-
-
-def _suite_partition(mats, seed):
-    err = measure_partition()
-    return SuiteResult("partition", err < 1e-12, {"max_identity_error": err})
-
-
-def _suite_truncation(mats, seed):
-    worst = measure_truncation_optimality(mats, seed=seed)
-    return SuiteResult("truncation-optimal", worst <= 1e-12, {"max_excess": worst})
-
-
-def _suite_submultiplicative(mats, seed):
-    stats = measure_submultiplicative(mats)
-    ok = stats.get("schur:p=1,r=0", 0.0) <= 1.0 + 1e-12 and all(
-        math.isfinite(v) for v in stats.values()
-    )
-    return SuiteResult("submultiplicative", ok, stats)
-
-
+# suite name -> (mats, seed) -> (passed, stats)
 _SUITES = {
-    "leibniz": _suite_leibniz,
-    "quotient": _suite_quotient,
-    "group-law": _suite_group_law,
-    "binomial": _suite_binomial,
-    "isometry": _suite_isometry,
-    "solidity": _suite_solidity,
-    "bernstein": _suite_bernstein,
-    "lp-equivalence": _suite_lp_equivalence,
-    "jackson-bernstein": _suite_jackson_bernstein,
-    "reiteration": _suite_reiteration,
-    "bessel-exact": _suite_bessel_exact,
-    "embedding": _suite_embedding,
-    "grid-convergence": _suite_grid,
-    "partition": _suite_partition,
-    "truncation-optimal": _suite_truncation,
-    "submultiplicative": _suite_submultiplicative,
+    "leibniz": lambda mats, seed: _below(
+        "max_residual", measure_leibniz(mats, _ts(mats, seed, 8)), 1e-10
+    ),
+    "quotient": lambda mats, seed: _below(
+        "max_residual", measure_quotient(_head(mats, 4), _ts(mats, seed, 4)), 1e-10
+    ),
+    "group-law": lambda mats, seed: _below(
+        "max_residual", measure_group_law(mats, _ts(mats, seed, 6)), 1e-12
+    ),
+    "binomial": lambda mats, seed: _below(
+        "max_residual", measure_binomial(mats, _ts(mats, seed, 4)), 1e-12
+    ),
+    "isometry": lambda mats, seed: _below(
+        "max_relative_drift", measure_modulate_isometry(mats, _ts(mats, seed, 8)), 1e-12
+    ),
+    "solidity": lambda mats, seed: _at_most("max_violation", measure_solidity(mats, seed), 0.0),
+    "bernstein": lambda mats, seed: _at_most(
+        "max_normalized_ratio", measure_bernstein(mats), 1.0
+    ),
+    "lp-equivalence": lambda mats, seed: _bounded_equivalence(measure_besov_equivalence(mats)),
+    "jackson-bernstein": lambda mats, seed: _bounded_equivalence(
+        measure_jackson_bernstein(mats)
+    ),
+    "reiteration": lambda mats, seed: _bounded_equivalence(measure_reiteration(_head(mats, 2))),
+    "bessel-exact": lambda mats, seed: _below(
+        "max_relative_error", measure_bessel_exact(mats), 1e-12
+    ),
+    "embedding": lambda mats, seed: _all_finite_positive(measure_embedding(_head(mats, 4))),
+    "grid-convergence": lambda mats, seed: _below(
+        "max_relative_gap", measure_grid_convergence(_head(mats, 4)), 0.01
+    ),
+    "partition": lambda mats, seed: _below("max_identity_error", measure_partition(), 1e-12),
+    "truncation-optimal": lambda mats, seed: _at_most(
+        "max_excess", measure_truncation_optimality(mats, seed), 1e-12
+    ),
+    "submultiplicative": lambda mats, seed: _schur_submultiplicative(
+        measure_submultiplicative(mats)
+    ),
 }
 
 
@@ -462,5 +432,5 @@ def run_suites(names=None, seed=20260814, window=32, count=24, dim=1):
     if unknown:
         raise ValueError(f"unknown suites: {', '.join(unknown)}")
     mats = _lab.corpus(seed, window, count=count, dim=dim)
-    results = [_SUITES[n](mats, seed) for n in names]
+    results = [SuiteResult(n, *_SUITES[n](mats, seed)) for n in names]
     return results, all(r.passed for r in results)

@@ -173,7 +173,7 @@ def test_verify_bad_args_exit_2():
 
 def test_verify_failure_exit_1(monkeypatch, capsys):
     def failing(mats, seed):
-        return verify_mod.SuiteResult("alwaysfail", False, {"worst": 1.0})
+        return False, {"worst": 1.0}
 
     monkeypatch.setitem(verify_mod._SUITES, "alwaysfail", failing)
     assert main(["verify", "--suite", "alwaysfail", "--W", "8", "--n", "1"]) == 1
@@ -226,6 +226,15 @@ def test_config_boolean_and_unknown_key(tmp_path, capsys):
     cfg.write_text("hyp = yes\nr = 0.5\n")
     assert main(["bessel", "--in", one, "--config", str(cfg)]) == 0
     assert "hypersingular = " in capsys.readouterr().out
+    cfg.write_text("hyp = on\nr = 0.5\n")
+    assert main(["bessel", "--in", one, "--config", str(cfg)]) == 0
+    assert "hypersingular = " in capsys.readouterr().out
+    cfg.write_text("hyp = off\nr = 0.5\n")
+    assert main(["bessel", "--in", one, "--config", str(cfg)]) == 0
+    assert "hypersingular = " not in capsys.readouterr().out
+    cfg.write_text("hyp = maybe\n")
+    assert main(["bessel", "--in", one, "--config", str(cfg)]) == 2
+    assert "config key 'hyp': 'maybe' is not a boolean" in capsys.readouterr().err
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("window = 8\n")  # gen spells it W

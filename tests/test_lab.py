@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oddkit
-from oddkit import DecayModel, LatticeMatrix, SingularSectionError
+from oddkit import DecayModel, LatticeMatrix, SingularSectionError, lab
 from oddkit.lab import _interior_envelope, corpus, report_csv_rows
 
 from conftest import offset_grid, random_matrix, single_diagonal
@@ -170,7 +170,11 @@ GATE_LADDER = (1e-3, 1e-8, 5e-10, 1.01e-10, 0.99e-10, 1e-11, 0.0)
     # gates on either side of the 1e-3 rung, and a residual gate nothing passes
     [(1e-10, 1e-8, 3), (1e-4, 1e-8, 2), (0.99e-3, 1e-8, 2), (1.01e-3, 1e-8, 1), (1e-10, -1.0, 2)],
 )
-def test_invert_finite_section_gates_match_exact_tests(sv_gate, residual_gate, reached):
+def test_invert_finite_section_gates_match_exact_tests(
+    monkeypatch, sv_gate, residual_gate, reached
+):
+    monkeypatch.setattr(lab, "SV_GATE", sv_gate)
+    monkeypatch.setattr(lab, "RESIDUAL_GATE", residual_gate)
     sections = [_section_with_ratio(ratio) for ratio in GATE_LADDER]
     sections.append(LatticeMatrix.from_dense(np.ones((17, 17)), window=8))  # rank one
     outcomes = set()
@@ -180,22 +184,23 @@ def test_invert_finite_section_gates_match_exact_tests(sv_gate, residual_gate, r
         if isinstance(want, str):
             outcomes.add(want)
             with pytest.raises(SingularSectionError, match=f"^{want}"):
-                oddkit.invert_finite_section(b, sv_gate, residual_gate)
+                oddkit.invert_finite_section(b)
         else:
             outcomes.add("accepted")
-            got = oddkit.invert_finite_section(b, sv_gate, residual_gate)
+            got = oddkit.invert_finite_section(b)
             assert np.array_equal(got.to_dense(), want)
     assert len(outcomes) == reached
 
 
-def test_invert_finite_section_exact_singularity():
+def test_invert_finite_section_exact_singularity(monkeypatch):
     ones = LatticeMatrix.from_dense(np.ones((17, 17)), window=8)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(ones.to_dense())
     # the ladder covers the SVD gate raising first; a gate that never fails
     # lets inv's error through, as when the SVD ran before inv
+    monkeypatch.setattr(lab, "SV_GATE", 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        oddkit.invert_finite_section(ones, sv_gate=0.0)
+        oddkit.invert_finite_section(ones)
 
 
 def _count_exact_tests(monkeypatch):
@@ -231,11 +236,13 @@ def test_invert_finite_section_residual_fallback(monkeypatch):
     beta = math.sqrt(np.linalg.norm(resid, 1) * np.linalg.norm(resid, np.inf))
     assert 0 < exact < beta
     calls = _count_exact_tests(monkeypatch)
-    got = oddkit.invert_finite_section(b, residual_gate=math.sqrt(exact * beta))
+    monkeypatch.setattr(lab, "RESIDUAL_GATE", math.sqrt(exact * beta))
+    got = oddkit.invert_finite_section(b)
     assert np.array_equal(got.to_dense(), inv)
     assert calls["norm2"] == 1  # the bound could not decide; the exact norm did
+    monkeypatch.setattr(lab, "RESIDUAL_GATE", 0.999 * exact)
     with pytest.raises(SingularSectionError, match="^inverse failed the residual check"):
-        oddkit.invert_finite_section(b, residual_gate=0.999 * exact)
+        oddkit.invert_finite_section(b)
 
 
 def test_invert_finite_section_certified_without_exact_tests(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oddkit
-from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
+from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight, norms
 from oddkit.norms import (
     _dense_singular_extremes,
     _diag_matvec,
@@ -386,6 +386,7 @@ def test_grammar_accepts_aliases_and_rejects_junk():
     assert oddkit.parse_norm_spec("w[polynomial:r=1]jaffard:r=0").weight.kind == "poly"
     assert oddkit.parse_norm_spec("schur:p=inf,r=2").p == math.inf
     assert oddkit.parse_norm_spec("cpr:p=2,literal=YES").literal
+    assert oddkit.parse_norm_spec("cpr:p=2,literal=on").literal
     assert not oddkit.parse_norm_spec("cpr:p=2,literal=0").literal
     for bad in (
         "fro",
@@ -572,18 +573,19 @@ def test_op_norm_arpack_kronecker_sum_d2():
     assert math.isclose(oddkit.op_norm_l2(m), want, rel_tol=1e-9)
 
 
-def test_op_norm_arpack_tridiagonal_toeplitz_d1():
+def test_op_norm_arpack_tridiagonal_toeplitz_d1(monkeypatch):
     # 2049 rows: the ARPACK branch.  The Hermitian tridiagonal Toeplitz
     # matrix with a on the diagonal and b, conj(b) beside it has the
     # eigenvalues a + 2|b| cos(pi j / 2050), so its norm is
     # |a| + 2|b| cos(pi / 2050).  The top of that spectrum is clustered
     # (gaps of order 1/n^2) and ARPACK needs about 20k products at the
-    # default tol; tol=1e-4 takes 9k and still gives the closed form to
+    # default OP_TOL; 1e-4 takes 9k and still gives the closed form to
     # about 1e-14 here.
     a, b = 0.5, 1.0 - 1.0j
     m = _constant_diagonals(1, 1024, {(0,): a, (1,): b, (-1,): np.conj(b)})
     want = abs(a) + 2 * abs(b) * math.cos(math.pi / 2050)
-    assert math.isclose(oddkit.op_norm_l2(m, tol=1e-4), want, rel_tol=1e-9)
+    monkeypatch.setattr(norms, "OP_TOL", 1e-4)
+    assert math.isclose(oddkit.op_norm_l2(m), want, rel_tol=1e-9)
 
 
 def test_banded_norms_stay_in_stored_entries():
