@@ -21,7 +21,7 @@ import numpy as np
 
 from . import norms as _norms
 from .lattice import band_truncate
-from .smoothness import _check_smoothness, _lp_combine, _stack_values, besov_norm_solid_lp
+from .smoothness import besov_norm_solid_lp
 
 __all__ = [
     "CprShiftReport",
@@ -51,12 +51,9 @@ def approx_errors(matrix, base, n_max=None):
         n_max = 2 * matrix.window
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return np.zeros(n_max + 1)
-    sup = np.abs(offs).max(axis=1)
+    sup = np.abs(matrix.offset_array()).max(axis=1)
     masks = sup[None, :] >= np.arange(n_max + 1)[:, None]  # (N+1, M)
-    return _stack_values(matrix, base, masks)
+    return _norms._stack_values(matrix, base, masks)
 
 
 def approx_space_norm(matrix, base, r, p=math.inf, form="sum"):
@@ -69,7 +66,7 @@ def approx_space_norm(matrix, base, r, p=math.inf, form="sum"):
     """
     if form not in _FORMS:
         raise ValueError(f"unknown form {form!r}")
-    _check_smoothness(r, p)
+    _norms._check_smoothness(r, p)
     errors = approx_errors(matrix, base)
     n = np.arange(errors.size, dtype=float)
     if form == "sum":
@@ -77,11 +74,9 @@ def approx_space_norm(matrix, base, r, p=math.inf, form="sum"):
             return float((errors * (n + 1.0) ** r).max())
         terms = errors**p * (n + 1.0) ** (r * p - 1.0)
         return float(terms.sum() ** (1.0 / p))
-    top = int(math.floor(math.log2(errors.size - 1))) if errors.size > 1 else -1
-    idx = [0] + [2**j for j in range(0, top + 1) if 2**j < errors.size]
-    weights = [1.0] + [2.0 ** (j * r) for j in range(0, top + 1) if 2**j < errors.size]
-    vals = [w * errors[i] for i, w in zip(idx, weights)]
-    return _lp_combine(vals, p)
+    top = int(math.log2(errors.size - 1)) if errors.size > 1 else -1  # largest 2^top <= 2W
+    vals = [errors[0]] + [2.0 ** (j * r) * errors[2**j] for j in range(top + 1)]
+    return float(_norms._lp_combine(vals, p))
 
 
 def jackson_bernstein_ratio(matrix, base, r, p=math.inf):
@@ -119,7 +114,7 @@ def cpr_shift_identity_check(matrix, p, q, r, s):
     """Compare E^q_s over cpr(p, r) with E^q_{s+r} over cpr(p, 0), both in
     the sum form of :func:`approx_space_norm`, and when p == q also with the
     plain cpr(p, r + s) norm."""
-    _check_smoothness(s, q)
+    _norms._check_smoothness(s, q)
     if matrix.is_zero():
         raise ValueError("check undefined for the zero matrix")
     base_r = _norms.NormSpec("cpr", p=p, r=r)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import norms as _norms
 from .lattice import LatticeMatrix
-from .smoothness import _stack_values, besov_norm_solid_lp
+from .smoothness import besov_norm_solid_lp
 
 __all__ = [
     "EmbeddingReport",
@@ -190,12 +190,9 @@ def hypersingular_profile(matrix, r, base, quad=None):
         quad = HypersingularQuadrature(r, matrix.dim)
     if quad.dim != matrix.dim or quad.r != r:
         raise ValueError("quadrature object does not match (r, dim)")
-    offs = matrix.offset_array()
     eps = np.asarray(quad.eps_grid)
-    if offs.shape[0] == 0:
-        return eps, np.zeros(len(eps))
-    mu = quad.multipliers(offs)  # (M, E)
-    return eps, _stack_values(matrix, base, mu.T)
+    mu = quad.multipliers(matrix.offset_array())  # (M, E)
+    return eps, _norms._stack_values(matrix, base, mu.T)
 
 
 def hypersingular_norm(matrix, r, base, quad=None):

@@ -437,6 +437,8 @@ class LatticeMatrix:
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
+        if not np.isfinite(scalar):
+            raise ValueError(f"non-finite scalar {scalar}")
         if scalar == 0:
             return LatticeMatrix(self.dim, self.window)
         return LatticeMatrix._raw(
@@ -494,12 +496,14 @@ class LatticeMatrix:
         """New matrix with diagonal m multiplied by factor_fn(offsets).
 
         ``factor_fn`` receives the read-only (M, dim) offset array and must
-        return M complex factors.  Diagonals whose factor is exactly zero
-        are dropped.
+        return M complex factors, all finite.  Diagonals whose factor is
+        exactly zero are dropped.
         """
         if self.is_zero():
             return self
         factors = np.asarray(factor_fn(self._offs))
+        if not np.isfinite(factors).all():
+            raise ValueError("non-finite diagonal factor")
         scaled = LatticeMatrix._raw(
             self.dim, self.window, self._offs, self._buf * np.repeat(factors, self._lens),
             self._lens,

@@ -15,7 +15,10 @@ literal cpr), and a per-diagonal multiplier F scales that number by |F_m|.
 Their one formula is :func:`stack_norm`, which evaluates a whole (K, M)
 stack of multipliers at once; ``jaffard_norm``, ``cpr_norm`` and
 ``schur_norm`` at p = inf are its single row F = 1.  Schur at p < inf sums
-rows and columns through :meth:`LatticeMatrix.line_power_sums`.
+rows and columns through :meth:`LatticeMatrix.line_power_sums`.  The
+smoothness, approximation and Bessel evaluators apply their multiplier
+stacks through ``_stack_values``: the stack formula for the
+diagonal-separable specs, one scaled matrix per row for the others.
 
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
 window).  Norms are addressed programmatically through :class:`NormSpec`
@@ -373,6 +376,36 @@ def _one_row(matrix, spec):
     """``matrix_norm(matrix, spec)`` as the single-row stack F = 1."""
     offs, values = diagonal_values(matrix, spec)
     return float(stack_norm(spec, offs, values, np.ones((1, offs.shape[0])))[0])
+
+
+def _stack_values(matrix, spec, factors, sup=False):
+    """``matrix_norm(F_k . A, spec)`` for every row F_k of a (K, M)
+    multiplier stack aligned with the offsets of the matrix, or their max
+    with ``sup=True``: one :func:`stack_norm` call on the diagonal values
+    for diagonal-separable specs, one scaled matrix per row for the rest."""
+    spec = _coerce_spec(spec)
+    if diagonal_separable(spec):
+        return stack_norm(spec, *diagonal_values(matrix, spec), factors, sup=sup)
+    vals = np.array([matrix_norm(matrix.scale_diagonals(lambda _o, f=f: f), spec) for f in factors])
+    return vals.max() if sup else vals
+
+
+def _lp_combine(values, p):
+    """l^p norm over the last axis of non-negative values (their max at
+    p = inf); 0 for no values."""
+    vals = np.asarray(values, dtype=float)
+    if math.isinf(p):
+        return vals.max(axis=-1, initial=0.0)
+    return (vals**p).sum(axis=-1) ** (1.0 / p)
+
+
+def _check_smoothness(r, p):
+    """Refuse a smoothness r outside (0, inf) or a summability p outside
+    [1, inf]; NaN fails both comparisons."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"smoothness r must be finite and > 0, got {r}")
+    if not p >= 1:
+        raise ValueError(f"p must be in [1, inf], got {p}")
 
 
 # -- string grammar -----------------------------------------------------------

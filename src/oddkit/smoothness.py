@@ -4,8 +4,8 @@ Three interchangeable evaluators of the same smoothness scale (smoothness
 r > 0, summability p in [1, inf], over a chosen base norm):
 
 * ``besov_norm_modulus``: base norm plus a dyadic sum over scales of the
-  modulus of smoothness of order k > floor(r), each modulus taken as a max
-  of ``difference`` norms over a uniform grid of modulation parameters;
+  modulus of smoothness of order k > floor(r), each modulus the max over a
+  uniform grid of modulation parameters of the base norm of the difference;
 * ``besov_norm_solid_lp``: weighted l^p sum of base norms of dyadic
   side-diagonal blocks floor(2^k) <= |m|_inf < 2^(k+1) (k = -1 is the main
   diagonal);
@@ -20,9 +20,14 @@ difference magnitudes over the modulation grid, dyadic block masks, or
 smooth partition bands.  Base norms that read one number per diagonal
 (:func:`~oddkit.norms.diagonal_values`; every solid base except Schur at
 p < inf) evaluate the whole stack at once through
-:func:`~oddkit.norms.stack_norm`, which also makes iterated (reiteration)
-norms affordable.  Schur at p < inf, ``op`` and callables take one scaled
-matrix per multiplier; that generic loop is also the tests' oracle.
+:func:`~oddkit.norms.stack_norm`; Schur at p < inf takes one scaled matrix
+per row.  Solid norms read magnitudes only, so the modulus takes every
+solid base on the magnitude rows |e^{2 pi i m.t} - 1|^k, and only ``op``
+and callables take one complex ``difference`` matrix per grid point; that
+loop is also the tests' oracle.  The modulus evaluator is one grid sup
+(``_grid_sup``, one level's grid) inside one dyadic level sum
+(``_level_sum``); reiteration nests the level sum on stacks of diagonal
+values, which keeps iterated norms affordable.
 
 Smoothness norms are addressed through :class:`BesovSpec` and the string
 grammar ``besov:base=...,r=...,p=...``, whose keys the norm grammar's
@@ -32,7 +37,7 @@ tokenizer reads, so both grammars refuse the same malformed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,36 +74,6 @@ def _default_order(r):
     return int(math.floor(r)) + 1
 
 
-def _lp_combine(values, p):
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(vals.max())
-    return float((vals**p).sum() ** (1.0 / p))
-
-
-def _check_smoothness(r, p):
-    """Refuse a smoothness r outside (0, inf) or a summability p outside
-    [1, inf]; NaN fails both comparisons."""
-    if not 0 < r < math.inf:
-        raise ValueError(f"smoothness r must be finite and > 0, got {r}")
-    if not p >= 1:
-        raise ValueError(f"p must be in [1, inf], got {p}")
-
-
-def _stack_values(matrix, base, factors):
-    """base(F_k . A) for every row of a (K, M) multiplier stack aligned with
-    the offsets of the matrix: one stack evaluation for diagonal-separable
-    bases, one scaled matrix per row for the rest."""
-    spec = _norms._coerce_spec(base)
-    if _norms.diagonal_separable(spec):
-        return _norms.stack_norm(spec, *_norms.diagonal_values(matrix, spec), factors)
-    return np.array(
-        [_norms.matrix_norm(matrix.scale_diagonals(lambda _o, f=f: f), spec) for f in factors]
-    )
-
-
 def t_grid(h, dim, grid):
     """Uniform modulation grid: ``grid`` points per axis spanning [-h, h],
     restricted to |t|_2 <= h.  Endpoints are always included."""
@@ -119,6 +94,34 @@ def _difference_factors(offsets, pts, order):
     return (2.0 * np.abs(np.sin(np.pi * theta))) ** order
 
 
+def _grid_sup(matrix, spec, pts, order, values=None):
+    """max over the points t of ``pts`` of base(|e^{2 pi i m.t} - 1|^order . A).
+
+    Solid NormSpec bases read magnitudes only, so the (T, M) magnitude rows
+    are one multiplier stack: on ``values``, the diagonal values of a
+    diagonal-separable spec read once by the caller or a (..., M) stack of
+    them (the result then has shape (...)), else through
+    :func:`~oddkit.norms._stack_values`.  ``op`` and callables take one
+    ``difference`` matrix per point.
+    """
+    if not (isinstance(spec, _norms.NormSpec) and spec.is_solid):
+        return max(_norms.matrix_norm(difference(matrix, t, order), spec) for t in pts)
+    offs = matrix.offset_array()
+    factors = _difference_factors(offs, pts, order)
+    if values is None:
+        return _norms._stack_values(matrix, spec, factors, sup=True)
+    return _norms.stack_norm(spec, offs, values, factors, sup=True)
+
+
+def _level_sum(sup, base, r, p, level_max):
+    """``base + ( sum_l (2^{r l} sup(l))^p )^{1/p}`` over l = 0..level_max,
+    where ``sup(l)`` is a value or an array for the modulation grid of radius
+    2^-l.  Only those results are kept, so a ``sup`` that builds its level's
+    (T, M) multipliers holds one level's at a time."""
+    vals = [2.0 ** (r * l) * sup(l) for l in range(level_max + 1)]
+    return base + _norms._lp_combine(np.stack(vals, axis=-1), p)
+
+
 def modulus(matrix, base, h, order=1, grid=None):
     """Modulus of smoothness: max over the grid with |t| <= h of the base
     norm of the order-fold modulation difference of the matrix."""
@@ -126,18 +129,8 @@ def modulus(matrix, base, h, order=1, grid=None):
         raise ValueError("order must be >= 1")
     if not 0 < h < math.inf:
         raise ValueError("h must be finite and > 0")
-    if grid is None:
-        grid = _default_grid(matrix.dim)
-    spec = _norms._coerce_spec(base)
-    offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return 0.0
-    pts = t_grid(h, matrix.dim, grid)
-    if _norms.diagonal_separable(spec):
-        _, values = _norms.diagonal_values(matrix, spec)
-        factors = _difference_factors(offs, pts, order)
-        return float(_norms.stack_norm(spec, offs, values, factors, sup=True))
-    return max(_norms.matrix_norm(difference(matrix, t, order), spec) for t in pts)
+    pts = t_grid(h, matrix.dim, _default_grid(matrix.dim) if grid is None else grid)
+    return float(_grid_sup(matrix, _norms._coerce_spec(base), pts, order))
 
 
 def besov_norm_modulus(
@@ -155,21 +148,20 @@ def besov_norm_modulus(
     The difference order defaults to floor(r) + 1 and must exceed floor(r);
     level_max defaults to ceil(log2(2W)) + 2.
     """
-    _check_smoothness(r, p)
+    BesovSpec(base, r, p, order, grid=grid, level_max=level_max)  # refuses what a spec refuses
     if order is None:
         order = _default_order(r)
-    if order <= math.floor(r):
-        raise ValueError(f"difference order {order} must exceed floor(r)={math.floor(r)}")
     if level_max is None:
         level_max = _default_level_max(matrix.window)
-    if level_max < 0:
-        raise ValueError("level_max must be >= 0")
-    base = _norms._coerce_spec(base)
-    vals = [
-        2.0 ** (r * l) * modulus(matrix, base, 2.0**-l, order=order, grid=grid)
-        for l in range(level_max + 1)
-    ]
-    return float(_norms.matrix_norm(matrix, base) + _lp_combine(vals, p))
+    if grid is None:
+        grid = _default_grid(matrix.dim)
+    spec = _norms._coerce_spec(base)
+    values = _norms.diagonal_values(matrix, spec)[1] if _norms.diagonal_separable(spec) else None
+
+    def sup(l):
+        return _grid_sup(matrix, spec, t_grid(2.0**-l, matrix.dim, grid), order, values)
+
+    return float(_level_sum(sup, _norms.matrix_norm(matrix, spec), r, p, level_max))
 
 
 def _require_solid(base):
@@ -184,16 +176,14 @@ def besov_norm_solid_lp(matrix, base, r, p=math.inf):
     """Weighted l^p sum of base norms of the dyadic diagonal blocks
     floor(2^k) <= |m|_inf < 2^{k+1}, k >= -1 (k = -1 is the main diagonal,
     entering with weight 2^{-r})."""
-    _check_smoothness(r, p)
+    _norms._check_smoothness(r, p)
     base = _require_solid(base)
     offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return 0.0
     # block k of offset m: floor(2^k) <= |m|_inf < 2^(k+1), -1 for m = 0
     block = np.frexp(np.abs(offs).max(axis=1))[1] - 1
     ks = np.unique(block)
-    vals = _stack_values(matrix, base, block == ks[:, None])
-    return _lp_combine([2.0 ** (k * r) * v for k, v in zip(ks.tolist(), vals)], p)
+    vals = _norms._stack_values(matrix, base, block == ks[:, None])
+    return float(_norms._lp_combine([2.0 ** (k * r) * v for k, v in zip(ks.tolist(), vals)], p))
 
 
 @dataclass(frozen=True)
@@ -253,20 +243,20 @@ class DyadicPartition:
 def besov_norm_phi_lp(matrix, base, r, p=math.inf):
     """Like :func:`besov_norm_solid_lp` but with the hard dyadic blocks
     replaced by the smooth partition bands (k = -1 uses the low-pass)."""
-    _check_smoothness(r, p)
+    _norms._check_smoothness(r, p)
     base = _require_solid(base)
     partition = DyadicPartition()
     offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return 0.0
-    max_abs = int(np.abs(offs).max())
+    max_abs = int(np.abs(offs).max(initial=0))
     ks = np.arange(-1, int(math.ceil(math.log2(max(max_abs, 1)))) + 2)
     bands = np.array(
         [partition.low_pass(offs)] + [partition.band(k, offs) for k in ks[1:]]
     )
     keep = (bands != 0).any(axis=1)
-    vals = _stack_values(matrix, base, bands[keep])
-    return _lp_combine([2.0 ** (k * r) * v for k, v in zip(ks[keep].tolist(), vals)], p)
+    vals = _norms._stack_values(matrix, base, bands[keep])
+    return float(
+        _norms._lp_combine([2.0 ** (k * r) * v for k, v in zip(ks[keep].tolist(), vals)], p)
+    )
 
 
 # -- spec plumbing ------------------------------------------------------------
@@ -289,11 +279,15 @@ class BesovSpec:
     level_max: int | None = None
 
     def __post_init__(self):
-        _check_smoothness(self.r, self.p)
+        _norms._check_smoothness(self.r, self.p)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.order is not None and self.order <= math.floor(self.r):
-            raise ValueError("difference order must exceed floor(r)")
+            raise ValueError(f"difference order {self.order} must exceed floor({self.r})")
+        if self.grid is not None and self.grid < 8:
+            raise ValueError("grid must have at least 8 points per axis")
+        if self.level_max is not None and self.level_max < 0:
+            raise ValueError("level_max must be >= 0")
 
 
 def besov_norm(matrix, spec):
@@ -383,51 +377,13 @@ def format_besov_spec(spec):
 # -- reiteration --------------------------------------------------------------
 
 
-def _iterated_modulus_norm(spec, matrix, r, s, p, grid):
-    """The (s, p) modulus norm of the (spec, r, p) modulus norm, from the
-    diagonal values alone.
-
-    The outer grid scales the diagonal values into a (T, M) stack, and every inner
-    level is one :func:`~oddkit.norms.stack_norm` call on that stack, so no
-    (T, T, M) array is formed: sup-type bases take O(T M) per level pair and
-    cpr at p < inf one (T, M) @ (M, T) product.
-    """
-    offs, values = _norms.diagonal_values(matrix, spec)
-    levels = range(0, _default_level_max(matrix.window) + 1)
-    ones = np.ones((1, offs.shape[0]))
-
-    def stacks(order):
-        return [
-            (l, _difference_factors(offs, t_grid(2.0**-l, matrix.dim, grid), order))
-            for l in levels
-        ]
-
-    def besov(norm_max, e, smooth, level_stacks):
-        # norm_max(e, F): max over the rows of F of the norm of F_k . e
-        vals = np.stack(
-            [2.0 ** (smooth * l) * norm_max(e, F) for l, F in level_stacks], axis=-1
-        )
-        mod = vals.max(axis=-1) if math.isinf(p) else (vals**p).sum(axis=-1) ** (1.0 / p)
-        return norm_max(e, ones) + mod
-
-    inner_stacks = stacks(_default_order(r))
-
-    def base_max(e, F):
-        return _norms.stack_norm(spec, offs, e, F, sup=True)
-
-    def inner_max(e, F):
-        return besov(base_max, e[..., None, :] * F, r, inner_stacks).max(axis=-1)
-
-    return float(besov(inner_max, values, s, stacks(_default_order(s))))
-
-
 def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     """Ratio of the iterated smoothness norm (outer smoothness s over the
     inner (base, r) norm) to the direct (base, r + s) norm, all via the
     modulus evaluator.  The two are equivalent; the ratio measures the
     constants.  Rejects the zero matrix."""
-    _check_smoothness(r, p)
-    _check_smoothness(s, p)
+    _norms._check_smoothness(r, p)
+    _norms._check_smoothness(s, p)
     spec = _norms._coerce_spec(base)
     if matrix.is_zero():
         raise ValueError("reiteration ratio undefined for the zero matrix")
@@ -435,12 +391,29 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
         grid = _default_grid(matrix.dim)
     direct = besov_norm_modulus(matrix, spec, r + s, p, grid=grid)
     if _norms.diagonal_separable(spec):
-        iterated = _iterated_modulus_norm(spec, matrix, r, s, p, grid)
-    else:
-        def inner_fn(x):
-            return besov_norm_modulus(x, spec, r, p, grid=grid)
+        # the level sum of level sums on stacks of diagonal values: each outer
+        # level scales the values into a (T, M) stack whose rows the inner
+        # norm takes at once, so no (T, T, M) array is formed
+        offs, values = _norms.diagonal_values(matrix, spec)
+        level_max = _default_level_max(matrix.window)
+        grids = [t_grid(2.0**-l, matrix.dim, grid) for l in range(level_max + 1)]
+        inner_factors = [_difference_factors(offs, pts, _default_order(r)) for pts in grids]
 
-        iterated = besov_norm_modulus(matrix, inner_fn, s, p, grid=grid)
+        def inner(e):
+            return _level_sum(
+                lambda l: _norms.stack_norm(spec, offs, e, inner_factors[l], sup=True),
+                _norms.stack_norm(spec, offs, e, np.ones((1, offs.shape[0])), sup=True),
+                r, p, level_max,
+            )
+
+        def outer(l):
+            return inner(values * _difference_factors(offs, grids[l], _default_order(s))).max(-1)
+
+        iterated = _level_sum(outer, inner(values), s, p, level_max)
+    else:
+        iterated = besov_norm_modulus(
+            matrix, lambda x: besov_norm_modulus(x, spec, r, p, grid=grid), s, p, grid=grid
+        )
     if direct == 0.0:
         raise ValueError("direct smoothness norm vanished; ratio undefined")
     return float(iterated / direct)
@@ -472,12 +445,9 @@ def continuity_defect(matrix, base, h_values):
     h_values = tuple(float(h) for h in h_values)
     mods = tuple(modulus(matrix, spec, h) for h in h_values)
     tail_exponent = spec.r if isinstance(spec, _norms.NormSpec) and spec.is_solid else 0.0
-    offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return ContinuityDefect(h_values, mods, (), (), 1, tail_exponent)
     from .approx import approx_errors  # approx imports this module
 
-    n_max = int(np.abs(offs).max())
+    n_max = int(np.abs(matrix.offset_array()).max(initial=0))
     tail = approx_errors(matrix, _norms.NormSpec("jaffard", r=tail_exponent), n_max)[1:]
     return ContinuityDefect(
         h_values, mods, tuple(range(n_max)), tuple(tail.tolist()), 1, tail_exponent

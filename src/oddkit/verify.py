@@ -31,7 +31,7 @@ SOLID_SPECS = (
     "jaffard:r=0",
     "jaffard:r=2",
     "schur:p=1,r=0",
-    "schur:p=2,r=1",
+    "schur:p=2,r=1.5",
     "cpr:p=1,r=0",
     "cpr:p=2,r=1.5",
     "w[bessel:r=1]jaffard:r=0",

@@ -338,6 +338,23 @@ def test_constructor_refuses_non_finite_and_duplicates():
         LatticeMatrix.from_dense(dense)
 
 
+def test_non_finite_multipliers_refused():
+    # a NaN or infinite factor or scalar is refused, not stored; the
+    # derivation overflows to inf at alpha = 400
+    a = random_matrix(81, 3, density=0.8)
+    for call in (
+        lambda: oddkit.bessel_convolve(a, np.nan),
+        lambda: oddkit.bessel_convolve(a, -np.inf),
+        lambda: np.nan * a,
+        lambda: a * np.inf,
+        lambda: a.scale_diagonals(lambda o: np.full(len(o), np.nan)),
+        lambda: oddkit.derivation(a, (400,)),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+
+
 def test_json_refuses_non_finite_and_duplicates():
     a = random_matrix(80, 2, density=0.8)
     payload = oddkit.to_json_dict(a)

@@ -318,6 +318,8 @@ def test_besov_grammar_bracketed_base():
         "besov:base=jaffard:r=0,r=0.5]",
         "besov:base=jaffard:r=0,r=0.5,method=philp,method=modulus",
         "besov:base=[schur:p=1,r=0,p=2],r=0.5",
+        "besov:base=jaffard:r=0,r=0.5,grid=4",
+        "besov:base=jaffard:r=0,r=0.5,lmax=-1",
     ):
         with pytest.raises(ValueError):
             oddkit.parse_besov_spec(bad)
@@ -378,18 +380,24 @@ def test_reiteration_fast_path_matches_generic_d2():
 
 
 def test_literal_cpr_stack_evaluators_match_generic():
-    # literal cpr reads one l^p norm per diagonal; every evaluator on the
-    # stack path agrees with the one-matrix-per-multiplier callable path
+    # literal cpr reads one l^p norm per diagonal, Schur at p < inf one
+    # scaled matrix per magnitude row; every evaluator on the stack path
+    # agrees with the callable path, whose modulus takes one complex
+    # difference matrix per grid point
     for dim, window in ((1, 6), (2, 2)):
         a = decay_matrix(13, window, dim=dim)
         for spec in (NormSpec("cpr", p=1.0, r=0.0, literal=True),
-                     NormSpec("cpr", p=3.5, r=1.5, literal=True, weight=oddkit.Weight("poly", 1.0))):
+                     NormSpec("cpr", p=3.5, r=1.5, literal=True, weight=oddkit.Weight("poly", 1.0)),
+                     NormSpec("schur", p=1.0, r=0.0),
+                     NormSpec("schur", p=2.0, r=1.5)):
             slow = _generic(spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ParameterDomainWarning)
                 pairs = [
                     (oddkit.modulus(a, spec, 0.25, order=2, grid=16),
                      oddkit.modulus(a, slow, 0.25, order=2, grid=16)),
+                    (oddkit.besov_norm_modulus(a, spec, 0.5, 2.0, grid=16, level_max=3),
+                     oddkit.besov_norm_modulus(a, slow, 0.5, 2.0, grid=16, level_max=3)),
                     (oddkit.besov_norm_solid_lp(a, spec, 0.5, 2.0),
                      oddkit.besov_norm_solid_lp(a, slow, 0.5, 2.0)),
                     (oddkit.besov_norm_phi_lp(a, spec, 1.5, 1.0),
@@ -427,6 +435,20 @@ def test_reiteration_memory_bounded_d2():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def test_besov_modulus_memory_bounded_d2():
+    # the level sum holds one level's (T, M) multipliers at a time: at d=2
+    # W=8 on the default grid each is 6.4 MB (T = 740 points, M = 1089
+    # offsets), and all seven levels together would be 45 MB
+    a = oddkit.corpus(5, 8, count=1, dim=2)[0]
+    tracemalloc.start()
+    try:
+        oddkit.besov_norm_modulus(a, "jaffard:r=0", 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_continuity_defect():
