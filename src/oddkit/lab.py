@@ -184,6 +184,7 @@ def invert_finite_section(matrix):
             if certified:  # the certificate assumed a passing residual
                 _singular_value_gate(*_dense_singular_extremes(dense))
             raise SingularSectionError(f"inverse failed the residual check: {resid_norm:.3e}")
+    del dense, resid  # only the inverse stays alive while it is packed
     return LatticeMatrix.from_dense(inv, matrix.dim, matrix.window)
 
 
@@ -343,10 +344,11 @@ def spectral_invariance_report(model, windows, norms=None, margin=2.0, dim=1):
     parsed = [_smoothness.parse_any_spec(s) if isinstance(s, str) else s for s in norms]
 
     def cell(window):
-        a = generate(model, window, dim=dim)
-        b = make_invertible(a, margin=margin)
-        b_inv = invert_finite_section(b)
+        # one dense section alive at a time: the extremes' is freed before
+        # invert_finite_section makes its own, and `a` is not kept
+        b = make_invertible(generate(model, window, dim=dim), margin=margin)
         s_max, s_min = _dense_singular_extremes(b.to_dense())
+        b_inv = invert_finite_section(b)
         norm_table = {
             text: {
                 "forward": _smoothness.evaluate(b, spec),

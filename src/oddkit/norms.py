@@ -21,9 +21,13 @@ stacks through ``_stack_values``: the stack formula for the
 diagonal-separable specs, one scaled matrix per row for the others.
 
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
-window).  Norms are addressed programmatically through :class:`NormSpec`
-and a small string grammar, e.g. ``jaffard:r=2`` or
-``w[bessel:r=1]jaffard:r=0``.
+window).  Its dense kernel, which also serves the finite-section gates and
+condition numbers of ``lab``, takes the singular-value extremes from one
+``eigvalsh``: of a real section that equals its transpose, else of the Gram
+matrix A*A, whose smallest eigenvalue gives s_min only inside ``GRAM_GATE``
+(kappa <= 10); the values-only SVD serves s_min outside it.  Norms are
+addressed programmatically through :class:`NormSpec` and a small string
+grammar, e.g. ``jaffard:r=2`` or ``w[bessel:r=1]jaffard:r=0``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import numpy as np
 from .lattice import LatticeMatrix, _flat_index, _scatter
 
 OP_TOL = 1e-10  # ARPACK relative tolerance of op_norm_l2 past 2048 rows
+GRAM_GATE = 1e-2  # lambda_min / lambda_max of A*A from which s_min = sqrt(lambda_min) (kappa <= 10)
+_GRAM_SLAB = 128  # rows of A*A formed per product
 
 __all__ = [
     "NormSpec",
@@ -141,16 +147,45 @@ def _real_if_exact(dense):
     return dense
 
 
-def _dense_singular_extremes(dense):
-    """(s_max, s_min) of a dense square matrix: real arithmetic for a real
-    one, ``eigvalsh`` (|eigenvalues| are the singular values) for a real one
-    that equals its transpose exactly, the values-only SVD otherwise."""
+def _gram(dense):
+    """A*A of a square section as its lower triangle, the part ``eigvalsh``
+    reads (zeros above it), formed in slabs of ``_GRAM_SLAB`` rows: half the
+    products of the full matrix, and no conjugated copy of the section."""
+    n = dense.shape[1]
+    gram = np.zeros((n, n), dtype=dense.dtype)
+    for i in range(0, n, _GRAM_SLAB):
+        j = min(i + _GRAM_SLAB, n)
+        np.matmul(dense[:, i:j].conj().T, dense[:, :j], out=gram[i:j, :j])
+    return gram
+
+
+def _dense_eigenvalues(dense):
+    """``(eigenvalues, gram)`` from one ``eigvalsh``, in float64 when the
+    imaginary part is all zero: of the section itself when it is real and
+    equals its transpose exactly (gram=False, the singular values are
+    |eigenvalues|), else of its Gram matrix A*A (gram=True, the singular
+    values are their square roots)."""
     dense = _real_if_exact(dense)
     if not np.iscomplexobj(dense) and np.array_equal(dense, dense.T):
-        svals = np.abs(np.linalg.eigvalsh(dense))
+        return np.linalg.eigvalsh(dense), False
+    return np.linalg.eigvalsh(_gram(dense)), True
+
+
+def _dense_singular_extremes(dense):
+    """(s_max, s_min) of a dense square matrix from
+    :func:`_dense_eigenvalues`.  s_max of the Gram route is sqrt(lambda_max);
+    s_min is sqrt(lambda_min) when lambda_min >= ``GRAM_GATE`` lambda_max,
+    where its relative error, of order eps kappa^2, stays near rounding.  A
+    section outside that gate takes s_min from the values-only SVD."""
+    dense = _real_if_exact(dense)
+    lam, gram = _dense_eigenvalues(dense)
+    if not gram:
+        svals = np.abs(lam)
         return float(svals.max()), float(svals.min())
-    svals = np.linalg.svd(dense, compute_uv=False)
-    return float(svals[0]), float(svals[-1])
+    s_max = math.sqrt(lam[-1])
+    if lam[0] >= GRAM_GATE * lam[-1]:
+        return s_max, math.sqrt(lam[0])
+    return s_max, float(np.linalg.svd(dense, compute_uv=False)[-1])
 
 
 def _product_operator(matrix):
@@ -174,8 +209,9 @@ def _product_operator(matrix):
 def op_norm_l2(matrix):
     """Operator norm on l^2 of the window (largest singular value).
 
-    Windows up to 2048 rows go through the dense kernel
-    :func:`_dense_singular_extremes`.  Larger ones run ARPACK (svds, k=1), or
+    Windows up to 2048 rows take s_max from one ``eigvalsh`` of
+    :func:`_dense_eigenvalues`, of the section or of its Gram matrix, and
+    never the SVD.  Larger ones run ARPACK (svds, k=1), or
     power iteration on A*A where ARPACK fails, over
     :func:`_product_operator`, built per call and dropped on return; ARPACK
     stops at the relative tolerance ``OP_TOL``.  A section whose imaginary
@@ -188,7 +224,8 @@ def op_norm_l2(matrix):
         return 0.0
     n = matrix.n_rows
     if n <= 2048:
-        return _dense_singular_extremes(matrix.to_dense())[0]
+        lam, gram = _dense_eigenvalues(matrix.to_dense())
+        return math.sqrt(lam[-1]) if gram else float(np.abs(lam).max())
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
     a = _product_operator(matrix)

@@ -91,7 +91,13 @@ def t_grid(h, dim, grid):
 def _difference_factors(offsets, pts, order):
     """|e^{2 pi i m.t} - 1|^order as a (T, M) array of magnitudes."""
     theta = pts @ offsets.T.astype(float)  # (T, M)
-    return (2.0 * np.abs(np.sin(np.pi * theta))) ** order
+    # (2 |sin(pi theta)|)^order in place: one (T, M) buffer, not three
+    np.multiply(theta, np.pi, out=theta)
+    np.sin(theta, out=theta)
+    np.abs(theta, out=theta)
+    theta *= 2.0
+    theta **= order
+    return theta
 
 
 def _grid_sup(matrix, spec, pts, order, values=None):

@@ -28,6 +28,10 @@ def _banded_past_dense_limit():
     return oddkit.LatticeMatrix(1, 1024, {(0,): diag, (1,): np.full(2048, 0.1)})
 
 
+def _phase_report():
+    return oddkit.spectral_invariance_report(oddkit.DecayModel("phase", 2.5), (16,))
+
+
 ROUTES = [
     # (label, entry point, (module, name) pairs it must reach)
     ("matrix_norm",
@@ -36,6 +40,7 @@ ROUTES = [
     ("report W=16",
      lambda: oddkit.spectral_invariance_report(oddkit.DecayModel("det", 2.0), (16,)),
      [(lab, "invert_finite_section"), (norms, "op_norm_l2"), (norms, "jaffard_norm")]),
+    ("report phase W=16", _phase_report, [(norms, "_dense_singular_extremes")]),
     ("modulus", lambda: oddkit.modulus(A, "jaffard:r=0", 0.25), [(smoothness, "t_grid")]),
     ("besov_norm_modulus", lambda: oddkit.besov_norm_modulus(A, "schur:p=1,r=0", 0.5),
      [(smoothness, "t_grid")]),
@@ -63,3 +68,18 @@ def test_entry_point_reaches_named_functions(label, call, names, monkeypatch):
     call()
     missing = [name for _, name in names if not counts[name]]
     assert not missing, f"{label} no longer calls {missing}"
+
+
+def test_default_phase_report_takes_no_svd(monkeypatch):
+    # the shifted phase section has kappa <= 3: the Gram eigenvalues certify
+    # both singular-value extremes, and the op norm needs s_max only
+    calls = Counter()
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    _phase_report()
+    assert calls["svd"] == 0

@@ -59,49 +59,88 @@ def test_op_norm_matches_svd():
         assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-12)
 
 
-def _extremes_cases():
+def _hermitian(shift=0.0):
+    """A random complex Hermitian 33 x 33 matrix plus shift * I: kappa 27
+    unshifted, 4.6 at shift 30."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-    rank_one = np.ones((17, 17), dtype=complex)
-    no_last_column = rng.standard_normal((17, 17)).astype(complex)
-    no_last_column[:, -1] = 0.0
-
-    def section(kind):
-        model = oddkit.DecayModel(kind, 2.5, seed=3)
-        return oddkit.make_invertible(oddkit.generate(model, 16)).to_dense()
-
-    return {
-        "complex-hermitian": (x + x.conj().T, "svd"),
-        "det": (section("det"), "eigvalsh"),
-        "mag": (section("mag"), "svd"),
-        "phase": (section("phase"), "svd"),
-        "singular-symmetric": (rank_one, "eigvalsh"),
-        "singular": (no_last_column, "svd"),
-        "1x1-real": (np.array([[-2.5 + 0j]]), "eigvalsh"),
-        "1x1-complex": (np.array([[3.0 - 4.0j]]), "svd"),
-    }
+    return x + x.conj().T + shift * np.eye(33)
 
 
-@pytest.mark.parametrize("case", list(_extremes_cases()))
+def _no_last_column():
+    a = np.random.default_rng(7).standard_normal((17, 17)).astype(complex)
+    a[:, -1] = 0.0
+    return a
+
+
+def _section(kind, window=16, margin=2.0):
+    model = oddkit.DecayModel(kind, 2.5, seed=3)
+    return oddkit.make_invertible(oddkit.generate(model, window), margin=margin).to_dense()
+
+
+# name -> (path, builder); the paths of _dense_singular_extremes are
+# "symmetric" (eigvalsh of the real section itself), "gram" (eigvalsh of A*A,
+# s_min certified by GRAM_GATE) and "gram+svd" (s_min from the SVD)
+EXTREMES_CASES = {
+    "det": ("symmetric", lambda: _section("det")),
+    "singular-symmetric": ("symmetric", lambda: np.ones((17, 17), dtype=complex)),
+    "1x1-real": ("symmetric", lambda: np.array([[-2.5 + 0j]])),
+    "mag": ("gram", lambda: _section("mag")),
+    "phase": ("gram", lambda: _section("phase")),
+    "complex-hermitian": ("gram", lambda: _hermitian(30.0)),
+    "1x1-complex": ("gram", lambda: np.array([[3.0 - 4.0j]])),
+    # kappa 5-9 on phase (margins near 1); mag stays near kappa 2 at any margin
+    **{
+        f"{kind}-W{w}-margin{m}": ("gram", lambda k=kind, w=w, m=m: _section(k, w, m))
+        for kind in ("phase", "mag")
+        for w, m in ((32, 1.05), (128, 1.1), (256, 1.23))
+    },
+    "complex-hermitian-kappa27": ("gram+svd", _hermitian),
+    "singular": ("gram+svd", _no_last_column),
+}
+
+
+@pytest.mark.parametrize("case", list(EXTREMES_CASES))
 def test_dense_singular_extremes_match_complex_svd(case, monkeypatch):
-    dense, path = _extremes_cases()[case]
+    path, build = EXTREMES_CASES[case]
+    dense = build()
     want = np.linalg.svd(dense, compute_uv=False)
-    calls = {"svd": 0, "eigvalsh": 0}
-    for name in calls:
+    calls, of_section = [], []
+    for name in ("eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            if _name == "eigvalsh":
+                of_section.append(args[0].shape == dense.shape and np.array_equal(args[0], dense))
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(np.linalg, name, recording)
     s_max, s_min = _dense_singular_extremes(dense)
-    assert calls == {"svd": path == "svd", "eigvalsh": path == "eigvalsh"}
+    assert calls == (["eigvalsh", "svd"] if path == "gram+svd" else ["eigvalsh"])
+    assert of_section == [path == "symmetric"]
     assert math.isclose(s_max, want[0], rel_tol=1e-13)
     if case.startswith("singular"):
         assert s_min <= 1e-13 * s_max and want[-1] <= 1e-13 * want[0]
     else:
         assert math.isclose(s_min, want[-1], rel_tol=1e-13)
+        kappa = want[0] / want[-1]
+        assert (kappa <= 10.0) == (path != "gram+svd")
+        if case.startswith("phase-"):
+            assert 5.0 <= kappa <= 9.0
+
+
+def test_op_norm_dense_branch_takes_no_svd(monkeypatch):
+    # singular and not symmetric, far outside GRAM_GATE: the op norm needs
+    # s_max only, which the Gram eigenvalues always give
+    a = LatticeMatrix.from_dense(_no_last_column(), window=8)
+    want = float(np.linalg.svd(a.to_dense(), compute_uv=False)[0])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("op_norm_l2 reached the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert math.isclose(oddkit.op_norm_l2(a), want, rel_tol=1e-13)
 
 
 def test_dense_singular_extremes_symmetry_test_is_exact():

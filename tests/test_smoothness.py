@@ -451,6 +451,19 @@ def test_besov_modulus_memory_bounded_d2():
     assert peak < 20 * 2**20
 
 
+def test_difference_factors_memory_bounded_d2():
+    # the (T, M) factors (6.4 MB per level here) are formed in place: the
+    # call peaks at 12.3 MB, and would reach 18.5 MB with two temporaries
+    a = oddkit.corpus(5, 8, count=1, dim=2)[0]
+    tracemalloc.start()
+    try:
+        oddkit.besov_norm_modulus(a, "jaffard:r=0", 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
+
+
 def test_continuity_defect():
     eye = LatticeMatrix.identity(1, 6)
     rep = oddkit.continuity_defect(eye, "jaffard:r=0", (1.0, 0.5, 0.25))

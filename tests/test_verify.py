@@ -53,7 +53,7 @@ GOLDEN = {
     },
     (2, 2, 2): {
         "leibniz": {"max_residual": 4.577566798522237e-16},
-        "quotient": {"max_residual": 6.958585419565677e-17},
+        "quotient": {"max_residual": 8.329326272577662e-17},
         "group-law": {"max_residual": 2.2334354227515497e-16},
         "binomial": {"max_residual": 7.216449660063518e-16},
         "isometry": {"max_relative_drift": 2.1753460916146114e-16},
