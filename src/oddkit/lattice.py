@@ -362,19 +362,19 @@ class LatticeMatrix:
         rows, cols = _coordinates(self.window, self._offs, self._lens)
         return rows, cols, self._buf
 
-    def line_power_sums(self, p, weights):
-        """Row and column sums of weights(m)^p |A(k, l)|^p, m = k - l.
+    def diagonal_lengths(self):
+        """Number of stored entries of each diagonal, aligned with
+        :meth:`offset_array` (read-only)."""
+        return self._lens
 
-        ``weights`` is aligned with :meth:`offset_array`.  Returns two arrays
-        of length :attr:`n_rows` indexed like the rows of :meth:`to_dense`.
-        """
-        n_rows = self.n_rows
-        rows, cols, vals = self.coordinates()
-        powed = np.abs(vals) ** p * np.repeat(np.asarray(weights) ** p, self._lens)
-        return (
-            np.bincount(rows, powed, minlength=n_rows),
-            np.bincount(cols, powed, minlength=n_rows),
-        )
+    def diagonal_slice(self, start, stop):
+        """The matrix made of the stored diagonals start..stop-1, in
+        :meth:`offset_array` order (0 <= start < number of diagonals): a view
+        on this one's buffer, no copy."""
+        lens = self._lens[start:stop]
+        at = int(self._starts[start])
+        buf = self._buf[at : at + int(lens.sum())]
+        return LatticeMatrix._raw(self.dim, self.window, self._offs[start:stop], buf, lens)
 
     def _dense_index(self):
         """Index of every buffer entry in the flattened dense matrix."""

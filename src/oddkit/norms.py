@@ -13,12 +13,13 @@ Every solid norm except Schur at p < inf reads one number per diagonal
 (:func:`diagonal_values`: the envelope, or the l^p norm of the diagonal for
 literal cpr), and a per-diagonal multiplier F scales that number by |F_m|.
 Their one formula is :func:`stack_norm`, which evaluates a whole (K, M)
-stack of multipliers at once; ``jaffard_norm``, ``cpr_norm`` and
-``schur_norm`` at p = inf are its single row F = 1.  Schur at p < inf sums
-rows and columns through :meth:`LatticeMatrix.line_power_sums`.  The
-smoothness, approximation and Bessel evaluators apply their multiplier
-stacks through ``_stack_values``: the stack formula for the
-diagonal-separable specs, one scaled matrix per row for the others.
+stack of multipliers at once.  Schur at p < inf mixes the diagonals in its
+row and column sums; its one formula is ``_line_sums``, which sums
+|A(k, l)|^p (w_m |F_m|)^p along every line for a whole stack at once.
+Every solid family function is the single row F = 1 of its formula, and
+the smoothness, approximation and Bessel evaluators apply their multiplier
+stacks through ``_stack_values``, which leaves one scaled matrix per row
+only for ``op`` and callables.
 
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
 window).  Its dense kernel, which also serves the finite-section gates and
@@ -43,6 +44,7 @@ from .lattice import LatticeMatrix, _flat_index, _scatter
 OP_TOL = 1e-10  # ARPACK relative tolerance of op_norm_l2 past 2048 rows
 GRAM_GATE = 1e-2  # lambda_min / lambda_max of A*A from which s_min = sqrt(lambda_min) (kappa <= 10)
 _GRAM_SLAB = 128  # rows of A*A formed per product
+_LINE_TABLE_BYTES = 2**22  # bytes of one (diagonals x lines) table of _line_sums
 
 __all__ = [
     "NormSpec",
@@ -298,12 +300,8 @@ def schur_norm(matrix, p, r, weight=None):
     _check_algebra_range("schur_norm", p, r, matrix.dim)
     if math.isinf(p):
         return _one_row(matrix, spec)
-    offs = matrix.offset_array()
-    if offs.shape[0] == 0:
-        return 0.0
-    w = _diagonal_weights(offs, r, weight)
-    row_sums, col_sums = matrix.line_power_sums(p, w)
-    return float(max(row_sums.max(), col_sums.max()) ** (1.0 / p))
+    ones = np.ones((1, matrix.offset_array().shape[0]))
+    return float(_line_sums(matrix, spec, ones)[0] ** (1.0 / p))
 
 
 def cpr_norm(matrix, p, r, weight=None, literal=False):
@@ -415,14 +413,54 @@ def _one_row(matrix, spec):
     return float(stack_norm(spec, offs, values, np.ones((1, offs.shape[0])))[0])
 
 
+def _line_sums(matrix, spec, factors):
+    """The worst weighted row or column sum
+    sum_l |A(k, l)|^p (w_m |F_m|)^p, m = k - l, for every row F of a (K, M)
+    multiplier stack aligned with the offsets of the matrix, w the weight
+    of ``spec`` (Schur at p < inf): the p-th powers of the Schur norms of
+    the F . A, as a length-K array.
+
+    One row adds each entry into its row and its column (``bincount`` over
+    :meth:`LatticeMatrix.coordinates`).  More rows take, per block of
+    consecutive diagonals, a (diagonals x lines) table of |A|^p, whose
+    product with the block's columns of (w |F|)^p gives the line sums of
+    every row at once; a block's table stays under ``_LINE_TABLE_BYTES``.
+    """
+    offs = matrix.offset_array()
+    g = (_diagonal_weights(offs, spec.r, spec.weight) * np.abs(factors)) ** spec.p
+    n = matrix.n_rows
+    if g.shape[0] == 1:
+        rows, cols, vals = matrix.coordinates()
+        powed = np.abs(vals) ** spec.p * np.repeat(g[0], matrix.diagonal_lengths())
+        row_max = np.bincount(rows, powed, minlength=n).max()
+        return np.array([max(row_max, np.bincount(cols, powed, minlength=n).max())])
+    sums = np.zeros((2, g.shape[0], n))
+    step = max(1, _LINE_TABLE_BYTES // (8 * n))
+    for start in range(0, offs.shape[0], step):
+        part = matrix.diagonal_slice(start, start + step)
+        rows, cols, vals = part.coordinates()
+        width = part.offset_array().shape[0]
+        at = np.repeat(np.arange(0, width * n, n), part.diagonal_lengths())
+        powed = np.abs(vals) ** spec.p
+        for line, out in zip((rows, cols), sums):
+            table = np.zeros(width * n)
+            table[at + line] = powed
+            out += g[:, start : start + width] @ table.reshape(width, n)
+    return sums.max(axis=(0, 2))
+
+
 def _stack_values(matrix, spec, factors, sup=False):
     """``matrix_norm(F_k . A, spec)`` for every row F_k of a (K, M)
     multiplier stack aligned with the offsets of the matrix, or their max
     with ``sup=True``: one :func:`stack_norm` call on the diagonal values
-    for diagonal-separable specs, one scaled matrix per row for the rest."""
+    for diagonal-separable specs, one :func:`_line_sums` call for Schur at
+    p < inf, and one scaled matrix per row for ``op`` and callables."""
     spec = _coerce_spec(spec)
     if diagonal_separable(spec):
         return stack_norm(spec, *diagonal_values(matrix, spec), factors, sup=sup)
+    if isinstance(spec, NormSpec) and spec.is_solid:
+        sums = _line_sums(matrix, spec, factors)
+        return (sums.max() if sup else sums) ** (1.0 / spec.p)
     vals = np.array([matrix_norm(matrix.scale_diagonals(lambda _o, f=f: f), spec) for f in factors])
     return vals.max() if sup else vals
 

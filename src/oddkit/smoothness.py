@@ -20,14 +20,16 @@ difference magnitudes over the modulation grid, dyadic block masks, or
 smooth partition bands.  Base norms that read one number per diagonal
 (:func:`~oddkit.norms.diagonal_values`; every solid base except Schur at
 p < inf) evaluate the whole stack at once through
-:func:`~oddkit.norms.stack_norm`; Schur at p < inf takes one scaled matrix
-per row.  Solid norms read magnitudes only, so the modulus takes every
-solid base on the magnitude rows |e^{2 pi i m.t} - 1|^k, and only ``op``
-and callables take one complex ``difference`` matrix per grid point; that
-loop is also the tests' oracle.  The modulus evaluator is one grid sup
-(``_grid_sup``, one level's grid) inside one dyadic level sum
-(``_level_sum``); reiteration nests the level sum on stacks of diagonal
-values, which keeps iterated norms affordable.
+:func:`~oddkit.norms.stack_norm`, and Schur at p < inf sums the rows and
+columns of the whole stack at once (``norms._line_sums``).  Solid norms
+read magnitudes only, so the modulus takes every solid base on the
+magnitude rows |e^{2 pi i m.t} - 1|^k, and only ``op`` and callables take
+one complex ``difference`` matrix per grid point; that loop is also the
+tests' oracle.  The modulus evaluator is one grid sup (``_grid_sup``, one
+level's grid) inside one dyadic level sum (``_level_sum``); reiteration
+nests the level sum on stacks of multipliers, the outer level's magnitude
+rows scaling the diagonal values (or, for Schur at p < inf, the inner
+stack), which keeps iterated norms affordable.
 
 Smoothness norms are addressed through :class:`BesovSpec` and the string
 grammar ``besov:base=...,r=...,p=...``, whose keys the norm grammar's
@@ -396,26 +398,45 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     if grid is None:
         grid = _default_grid(matrix.dim)
     direct = besov_norm_modulus(matrix, spec, r + s, p, grid=grid)
-    if _norms.diagonal_separable(spec):
-        # the level sum of level sums on stacks of diagonal values: each outer
-        # level scales the values into a (T, M) stack whose rows the inner
-        # norm takes at once, so no (T, T, M) array is formed
-        offs, values = _norms.diagonal_values(matrix, spec)
+    if isinstance(spec, _norms.NormSpec) and spec.is_solid:
+        # the level sum of level sums on stacks of multipliers: each outer
+        # level is a (T, M) stack of magnitude rows g, and sup(g, F) is the
+        # max over the rows of an inner stack F of base(F g . A), for every
+        # row of g at once
+        offs = matrix.offset_array()
+        m = offs.shape[0]
         level_max = _default_level_max(matrix.window)
         grids = [t_grid(2.0**-l, matrix.dim, grid) for l in range(level_max + 1)]
         inner_factors = [_difference_factors(offs, pts, _default_order(r)) for pts in grids]
+        if _norms.diagonal_separable(spec):
+            # g scales the diagonal values, so no (T, T, M) array is formed
+            values = _norms.diagonal_values(matrix, spec)[1]
 
-        def inner(e):
+            def sup(g, factors):
+                return _norms.stack_norm(spec, offs, values * g, factors, sup=True)
+        else:
+            # Schur at p < inf: g scales the inner stack, as many rows of g
+            # at a time as keep their products under the line-table budget
+            def sup(g, factors):
+                rows = np.reshape(g, (-1, m))
+                step = max(1, _norms._LINE_TABLE_BYTES // (8 * factors.size))
+                sums = [
+                    _norms._line_sums(matrix, spec, (chunk[:, None] * factors).reshape(-1, m))
+                    .reshape(len(chunk), -1)
+                    .max(-1)
+                    for chunk in (rows[i : i + step] for i in range(0, len(rows), step))
+                ]
+                return (np.concatenate(sums) ** (1.0 / spec.p)).reshape(np.shape(g)[:-1])
+
+        def inner(g):
             return _level_sum(
-                lambda l: _norms.stack_norm(spec, offs, e, inner_factors[l], sup=True),
-                _norms.stack_norm(spec, offs, e, np.ones((1, offs.shape[0])), sup=True),
-                r, p, level_max,
+                lambda l: sup(g, inner_factors[l]), sup(g, np.ones((1, m))), r, p, level_max
             )
 
         def outer(l):
-            return inner(values * _difference_factors(offs, grids[l], _default_order(s))).max(-1)
+            return inner(_difference_factors(offs, grids[l], _default_order(s))).max(-1)
 
-        iterated = _level_sum(outer, inner(values), s, p, level_max)
+        iterated = _level_sum(outer, inner(np.ones(m)), s, p, level_max)
     else:
         iterated = besov_norm_modulus(
             matrix, lambda x: besov_norm_modulus(x, spec, r, p, grid=grid), s, p, grid=grid

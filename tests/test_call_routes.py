@@ -70,16 +70,32 @@ def test_entry_point_reaches_named_functions(label, call, names, monkeypatch):
     assert not missing, f"{label} no longer calls {missing}"
 
 
-def test_default_phase_report_takes_no_svd(monkeypatch):
+SKIPPED = [
+    # (label, entry point, (owner, name) pairs it must not call)
     # the shifted phase section has kappa <= 3: the Gram eigenvalues certify
     # both singular-value extremes, and the op norm needs s_max only
-    calls = Counter()
-    svd = np.linalg.svd
+    ("phase report svd", _phase_report, [(np.linalg, "svd")]),
+    # Schur at p < inf takes whole multiplier stacks: no scaled matrix per
+    # stack row, no difference matrix per grid point
+    ("besov_norm_modulus schur",
+     lambda: oddkit.besov_norm_modulus(A, "schur:p=1,r=0", 0.5),
+     [(oddkit.LatticeMatrix, "scale_diagonals")]),
+    ("reiteration_ratio schur",
+     lambda: oddkit.reiteration_ratio(A, "schur:p=2,r=1", 0.5, 0.5, grid=16),
+     [(oddkit.LatticeMatrix, "scale_diagonals"), (smoothness, "difference")]),
+]
 
-    def counting_svd(*args, **kwargs):
-        calls["svd"] += 1
-        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    _phase_report()
-    assert calls["svd"] == 0
+@pytest.mark.parametrize("label,call,names", SKIPPED, ids=[row[0] for row in SKIPPED])
+def test_entry_point_skips_named_functions(label, call, names, monkeypatch):
+    counts = Counter()
+    for owner, name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    call()
+    assert not counts, f"{label} calls {dict(counts)}"

@@ -385,11 +385,14 @@ def test_diagonal_primitives_match_dense():
     diff = offset_grid(1, 3)[..., 0]
     offs = a.offset_array()
     assert not a.is_zero() and LatticeMatrix.zeros(1, 3).is_zero()
-    w = 1.0 + np.abs(offs[:, 0]) / 2.0
-    rows, cols = a.line_power_sums(1.5, w)
-    weighted = np.abs(dense) ** 1.5 * (1.0 + np.abs(diff) / 2.0) ** 1.5
-    assert np.allclose(rows, weighted.sum(axis=1), rtol=1e-13)
-    assert np.allclose(cols, weighted.sum(axis=0), rtol=1e-13)
+    rows, cols, vals = a.coordinates()
+    assert np.array_equal(dense[rows, cols], vals)
+    assert a.diagonal_lengths().tolist() == [arr.size for _, arr in a.diagonals()]
+    # a run of consecutive diagonals is a view on the same buffer
+    part = a.diagonal_slice(3, 9)
+    assert part.offsets() == [tuple(o) for o in offs[3:9]]
+    assert np.shares_memory(part.coordinates()[2], vals)
+    assert np.array_equal(part.to_dense(), np.where(np.isin(diff, offs[3:9, 0]), dense, 0.0))
     sums = a.diagonal_power_sums(2.0)
     for off, s in zip(offs, sums):
         assert math.isclose(s, float((np.abs(dense[diff == off[0]]) ** 2).sum()), rel_tol=1e-13)

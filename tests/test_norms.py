@@ -9,7 +9,9 @@ from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight, norm
 from oddkit.norms import (
     _dense_singular_extremes,
     _diag_matvec,
+    _line_sums,
     _product_operator,
+    _stack_values,
     diagonal_separable,
     diagonal_values,
     stack_norm,
@@ -403,6 +405,106 @@ def test_stack_norm_stacks_and_refusals():
         with pytest.raises(ValueError):
             stack_norm(spec, offs, env, stack)
     assert not diagonal_separable(None)
+
+
+LINE_SUM_SPECS = ("schur:p=1,r=0", "schur:p=1.5,r=1", "schur:p=2,r=1.5", "w[bessel:r=1]schur:p=2,r=0")
+
+
+def _line_sum_stacks(m):
+    """Multiplier stacks of 1, 2 and 64 rows over m diagonals, with rows
+    that are all zero or zero on some diagonals."""
+    gen = np.random.default_rng(11)
+    big = gen.standard_normal((64, m)) + 1j * gen.standard_normal((64, m))
+    big[1] = 0.0
+    big[2, ::3] = 0.0
+    big[3] = 1.0
+    return big[3:4], big[:2], big
+
+
+@pytest.mark.parametrize("dim,window", [(1, 6), (2, 3)])
+def test_line_sums_match_scaled_matrix_oracle(dim, window):
+    # the per-row callable loop scales one matrix per row and reads its
+    # Schur norm; the line sums take the whole stack at once
+    a = random_matrix(190 + dim, window, dim=dim, density=0.7)
+    for text in LINE_SUM_SPECS:
+        spec = oddkit.parse_norm_spec(text)
+        assert not diagonal_separable(spec)
+        oracle = lambda x, spec=spec: oddkit.matrix_norm(x, spec)  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ParameterDomainWarning)
+            for stack in _line_sum_stacks(a.offset_array().shape[0]):
+                got = _stack_values(a, spec, stack)
+                want = _stack_values(a, oracle, stack)
+                assert got.shape == want.shape == (stack.shape[0],)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), (text, stack.shape)
+                assert math.isclose(_stack_values(a, spec, stack, sup=True), want.max(), rel_tol=1e-12)
+                sums = _line_sums(a, spec, stack)
+                assert np.allclose(sums ** (1.0 / spec.p), want, rtol=1e-12, atol=0.0)
+    # the zero matrix, and a zero row, give 0
+    zero = LatticeMatrix.zeros(dim, window)
+    spec = oddkit.parse_norm_spec("schur:p=2,r=1.5")
+    for k in (1, 2, 64):
+        assert np.array_equal(_stack_values(zero, spec, np.ones((k, 0))), np.zeros(k))
+    assert _stack_values(a, spec, _line_sum_stacks(a.offset_array().shape[0])[1])[1] == 0.0
+
+
+def test_line_sums_match_dense_weighted_sums():
+    # sum_l |A(k, l)|^1.5 f(k - l)^1.5 along every row and column, f any
+    # per-diagonal multiplier, from the dense matrix
+    a = random_matrix(81, 3, density=0.5)
+    diff = offset_grid(1, 3)[..., 0]
+    f = 1.0 + np.abs(a.offset_array()[:, 0]) / 2.0
+    weighted = np.abs(a.to_dense()) ** 1.5 * (1.0 + np.abs(diff) / 2.0) ** 1.5
+    want = max(weighted.sum(axis=1).max(), weighted.sum(axis=0).max())
+    spec = NormSpec("schur", p=1.5)
+    got = _line_sums(a, spec, f[None])
+    assert got.shape == (1,) and math.isclose(got[0], want, rel_tol=1e-13)
+    stacked = _line_sums(a, spec, np.stack([f, 2.0 * f]))
+    assert np.allclose(stacked, [want, 2.0**1.5 * want], rtol=1e-13, atol=0.0)
+
+
+def test_line_sums_blocks_of_diagonals(monkeypatch):
+    # tables of a few diagonals at a time give the sums of one table
+    a = random_matrix(192, 3, dim=2, density=0.8)
+    spec = oddkit.parse_norm_spec("schur:p=1.5,r=1")
+    stack = _line_sum_stacks(a.offset_array().shape[0])[2]
+    whole = _line_sums(a, spec, stack)
+    monkeypatch.setattr(norms, "_LINE_TABLE_BYTES", 8 * a.n_rows * 5)
+    assert np.allclose(_line_sums(a, spec, stack), whole, rtol=1e-13, atol=0.0)
+
+
+def test_line_sums_memory_bounded_d2():
+    import tracemalloc
+
+    # d=2 W=16: 1089 lines and 4225 diagonals.  The whole (diagonals x
+    # lines) table is 37 MB and the coordinates of every entry 9.5 MB; a
+    # block's table stays under _LINE_TABLE_BYTES (4 MB), and the stack and
+    # its weighted powers are 2.2 MB each.  This call peaks at 17.2 MB.
+    a = oddkit.corpus(3, 16, count=1, dim=2)[0]
+    stack = np.abs(np.random.default_rng(5).standard_normal((64, a.offset_array().shape[0])))
+    spec = oddkit.parse_norm_spec("schur:p=2,r=1.5")
+    tracemalloc.start()
+    try:
+        _stack_values(a, spec, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_schur_norm_memory_d2():
+    import tracemalloc
+
+    # one row sums per entry with bincount; at d=2 W=24 (5.8M stored
+    # entries) that peaks at 132.16 MB, and no change may raise it
+    a = oddkit.corpus(3, 24, count=1, dim=2)[0]
+    tracemalloc.start()
+    try:
+        oddkit.schur_norm(a, 1, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 132.2 * 2**20
 
 
 def test_grammar_round_trip():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -366,6 +367,26 @@ def test_reiteration_stack_paths_match_generic():
         assert math.isclose(fast, slow, rel_tol=1e-10)
 
 
+def test_reiteration_schur_matches_generic():
+    # Schur at p < inf scales the inner stack by each outer row; the
+    # callable path nests a whole besov_norm_modulus per outer grid point
+    # (2-3 s); a weighted base at p = 1.5, inner order 2 and an l^2
+    # level sum, and r != s to tell the inner norm from the outer one
+    a = oddkit.corpus(3, 8, count=1)[0]
+    spec = NormSpec("schur", p=1.5, r=1.0)
+    fast = oddkit.reiteration_ratio(a, spec, 1.5, 0.5, 2.0, grid=16)
+    slow = oddkit.reiteration_ratio(a, _generic(spec), 1.5, 0.5, 2.0, grid=16)
+    assert math.isclose(fast, slow, rel_tol=1e-10)
+
+
+def test_reiteration_schur_runtime():
+    # nesting the callable path took 2.5 s on this input and grid
+    a = oddkit.corpus(3, 16, count=1)[0]
+    start = time.perf_counter()
+    oddkit.reiteration_ratio(a, "schur:p=1,r=0", 0.5, 0.5, grid=16)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_reiteration_fast_path_matches_generic_d2():
     a = decay_matrix(12, 2, dim=2)
     specs = (
@@ -380,8 +401,8 @@ def test_reiteration_fast_path_matches_generic_d2():
 
 
 def test_literal_cpr_stack_evaluators_match_generic():
-    # literal cpr reads one l^p norm per diagonal, Schur at p < inf one
-    # scaled matrix per magnitude row; every evaluator on the stack path
+    # literal cpr reads one l^p norm per diagonal, Schur at p < inf the
+    # line sums of the whole stack; every evaluator on the stack path
     # agrees with the callable path, whose modulus takes one complex
     # difference matrix per grid point
     for dim, window in ((1, 6), (2, 2)):
