@@ -186,7 +186,7 @@ class LatticeMatrix:
     is every diagonal view handed out.
     """
 
-    __slots__ = ("dim", "window", "_offs", "_buf", "_starts", "_lens")
+    __slots__ = ("dim", "window", "_offs", "_buf", "_starts", "_lens", "_env")
 
     def __init__(self, dim, window, diagonals=()):
         dim = int(dim)
@@ -240,6 +240,7 @@ class LatticeMatrix:
             ("_buf", buf),
             ("_starts", starts),
             ("_lens", lens),
+            ("_env", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -336,18 +337,23 @@ class LatticeMatrix:
         return self._buf[start : start + int(self._lens[i])].reshape(shape)
 
     def envelope(self, rows=None):
-        """Per-diagonal sup of |entries|, aligned with :meth:`offset_array`.
+        """Per-diagonal sup of |entries|, aligned with :meth:`offset_array`;
+        computed once and kept on the matrix, read-only.
 
         With ``rows``, a boolean mask over the rows of :meth:`to_dense`, the
         sup runs over the entries in those rows, and is -inf for a diagonal
-        that has none.
+        that has none; that result is computed afresh and not kept.
         """
-        if self.is_zero():
-            return self._offs, np.zeros(0)
+        if rows is None and self._env is not None:
+            return self._offs, self._env
         mags = np.abs(self._buf)
         if rows is not None:
             mags[~np.asarray(rows)[self.coordinates()[0]]] = -np.inf
-        return self._offs, np.maximum.reduceat(mags, self._starts)
+        env = np.maximum.reduceat(mags, self._starts) if mags.size else mags
+        if rows is None:
+            env.setflags(write=False)
+            object.__setattr__(self, "_env", env)
+        return self._offs, env
 
     def diagonal_power_sums(self, p):
         """Per-diagonal sum of |entries|^p, aligned with :meth:`offset_array`."""
@@ -601,13 +607,20 @@ def modulate(matrix, t):
     )
 
 
+def _as_order(order):
+    """A difference order as an int >= 1; a non-integer order is refused."""
+    if not float(order).is_integer():
+        raise ValueError(f"difference order must be an integer, got {order!r}")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return int(order)
+
+
 def difference(matrix, t, order=1):
     """Iterated modulation difference: diagonal m is scaled by
     (e^{2 pi i m.t} - 1)^order.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _as_order(order)
     t = _reduced_t(t, matrix.dim)
     if not t.any():
         return LatticeMatrix.zeros(matrix.dim, matrix.window)
@@ -669,22 +682,21 @@ def to_json_dict(matrix):
 def from_json_dict(payload):
     """Inverse of :func:`to_json_dict`; refuses duplicate offsets and
     non-finite entries like the constructor does."""
+    diags = []
     try:
         dim = int(payload["dim"])
         window = int(payload["window"])
-        raw = payload["diagonals"]
+        for item in payload["diagonals"]:
+            off = _as_offset(item["offset"], dim)
+            re = np.asarray(item["re"], dtype=float)
+            im = np.asarray(item["im"], dtype=float)
+            if re.shape != im.shape:
+                raise ValueError(f"diagonal {off}: re/im length mismatch")
+            vals = re.astype(np.complex128)
+            vals.imag = im
+            diags.append((off, vals))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
-    diags = []
-    for item in raw:
-        off = _as_offset(item["offset"], dim)
-        re = np.asarray(item["re"], dtype=float)
-        im = np.asarray(item["im"], dtype=float)
-        if re.shape != im.shape:
-            raise ValueError(f"diagonal {off}: re/im length mismatch")
-        vals = re.astype(np.complex128)
-        vals.imag = im
-        diags.append((off, vals))
     return LatticeMatrix(dim, window, diags)
 
 

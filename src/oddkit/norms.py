@@ -10,16 +10,18 @@ side diagonal, which keeps every weight a per-diagonal multiplier:
 * ``weighted_norm``: any solid base norm after a diagonal weight.
 
 Every solid norm except Schur at p < inf reads one number per diagonal
-(:func:`diagonal_values`: the envelope, or the l^p norm of the diagonal for
-literal cpr), and a per-diagonal multiplier F scales that number by |F_m|.
-Their one formula is :func:`stack_norm`, which evaluates a whole (K, M)
-stack of multipliers at once.  Schur at p < inf mixes the diagonals in its
-row and column sums; its one formula is ``_line_sums``, which sums
+(the envelope, stored once per matrix, or the l^p norm of the diagonal for
+literal cpr), and a per-diagonal multiplier F scales that number by |F_m|;
+their one formula ``_stack_norm`` evaluates a whole (K, M) stack of
+multipliers at once.  Schur at p < inf mixes the diagonals in its row and
+column sums; its one formula is ``_line_sums``, which sums
 |A(k, l)|^p (w_m |F_m|)^p along every line for a whole stack at once.
-Every solid family function is the single row F = 1 of its formula, and
-the smoothness, approximation and Bessel evaluators apply their multiplier
-stacks through ``_stack_values``, which leaves one scaled matrix per row
-only for ``op`` and callables.
+``_stack_values`` is the one multiplier-stack evaluator: it picks the
+formula of the base, and given a stack of outer rows g it returns
+max_k base(g F_k . A) for every g, which is how the smoothness evaluators
+take a modulus grid and reiteration takes its nested grids; only ``op``
+and callables take one scaled matrix per row.  Every solid family function
+is its single row F = 1.
 
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
 window).  Its dense kernel, which also serves the finite-section gates and
@@ -52,8 +54,6 @@ __all__ = [
     "Weight",
     "bessel_weight",
     "cpr_norm",
-    "diagonal_separable",
-    "diagonal_values",
     "format_norm_spec",
     "jaffard_norm",
     "matrix_norm",
@@ -61,7 +61,6 @@ __all__ = [
     "parse_norm_spec",
     "polynomial_weight",
     "schur_norm",
-    "stack_norm",
     "weighted_norm",
 ]
 
@@ -273,6 +272,12 @@ def _diagonal_weights(offsets, r, weight=None):
     return w if weight is None else w * weight(offsets)
 
 
+def _one_row(matrix, spec):
+    """``matrix_norm(matrix, spec)`` of a solid spec as the stack F = 1."""
+    ones = np.ones((1, matrix.offset_array().shape[0]))
+    return float(_stack_values(matrix, spec, ones)[0])
+
+
 def jaffard_norm(matrix, r):
     """sup over diagonals m of (1 + |m|_2)^r * sup_k |A(k, k-m)|."""
     return _one_row(matrix, NormSpec("jaffard", r=r))
@@ -298,10 +303,7 @@ def schur_norm(matrix, p, r, weight=None):
     """
     spec = NormSpec("schur", p, r, weight)
     _check_algebra_range("schur_norm", p, r, matrix.dim)
-    if math.isinf(p):
-        return _one_row(matrix, spec)
-    ones = np.ones((1, matrix.offset_array().shape[0]))
-    return float(_line_sums(matrix, spec, ones)[0] ** (1.0 / p))
+    return _one_row(matrix, spec)
 
 
 def cpr_norm(matrix, p, r, weight=None, literal=False):
@@ -358,29 +360,29 @@ def _coerce_spec(spec):
 # -- multiplier stacks -------------------------------------------------------
 
 
-def diagonal_separable(spec):
+def _diagonal_separable(spec):
     """Whether ``matrix_norm(spec)`` depends on a matrix only through one
-    number per diagonal (:func:`diagonal_values`): every solid spec except
+    number per diagonal (:func:`_diagonal_values`): every solid spec except
     Schur at p < inf, whose row and column sums mix the diagonals."""
     if not isinstance(spec, NormSpec) or not spec.is_solid:
         return False
     return spec.kind != "schur" or math.isinf(spec.p)
 
 
-def diagonal_values(matrix, spec):
+def _diagonal_values(matrix, spec):
     """``(offsets, values)``: the number per stored diagonal that a
-    :func:`diagonal_separable` spec reads, the l^p norm of the diagonal for
-    literal cpr at p < inf and its sup (the envelope) otherwise.  Both scale
-    by |F_m| under a per-diagonal multiplier F."""
+    :func:`_diagonal_separable` spec reads, the l^p norm of the diagonal for
+    literal cpr at p < inf and its sup (the envelope, stored on the matrix)
+    otherwise.  Both scale by |F_m| under a per-diagonal multiplier F."""
     if spec.kind == "cpr" and spec.literal and not math.isinf(spec.p):
         return matrix.offset_array(), matrix.diagonal_power_sums(spec.p) ** (1.0 / spec.p)
     return matrix.envelope()
 
 
-def stack_norm(spec, offsets, values, factors, sup=False):
+def _stack_norm(spec, offsets, values, factors, sup=False):
     """``matrix_norm(F_k . A, spec)`` for every row F_k of a (K, M) stack of
-    per-diagonal multipliers, from the :func:`diagonal_values` of A on
-    ``offsets``; the one formula of every :func:`diagonal_separable` spec.
+    per-diagonal multipliers, from the :func:`_diagonal_values` of A on
+    ``offsets``; the one formula of every :func:`_diagonal_separable` spec.
 
     ``values`` may also be a (..., M) stack; the result has shape (..., K),
     or (...) with ``sup=True``, which takes the max over the rows.
@@ -391,7 +393,7 @@ def stack_norm(spec, offsets, values, factors, sup=False):
     is ``((values * w)^p @ |F|^p.T)^(1/p)``, one matrix product also for a
     stack of values.  Specs that are not diagonal-separable raise.
     """
-    if not diagonal_separable(spec):
+    if not _diagonal_separable(spec):
         raise ValueError(f"{spec!r} is not diagonal-separable")
     w = _diagonal_weights(offsets, spec.r, spec.weight)
     values = np.asarray(values, dtype=float)
@@ -405,12 +407,6 @@ def stack_norm(spec, offsets, values, factors, sup=False):
     if sup:
         out = out.max(axis=-1)
     return out ** (1.0 / spec.p)
-
-
-def _one_row(matrix, spec):
-    """``matrix_norm(matrix, spec)`` as the single-row stack F = 1."""
-    offs, values = diagonal_values(matrix, spec)
-    return float(stack_norm(spec, offs, values, np.ones((1, offs.shape[0])))[0])
 
 
 def _line_sums(matrix, spec, factors):
@@ -449,20 +445,39 @@ def _line_sums(matrix, spec, factors):
     return sums.max(axis=(0, 2))
 
 
-def _stack_values(matrix, spec, factors, sup=False):
+def _stack_values(matrix, spec, factors, outer=None):
     """``matrix_norm(F_k . A, spec)`` for every row F_k of a (K, M)
-    multiplier stack aligned with the offsets of the matrix, or their max
-    with ``sup=True``: one :func:`stack_norm` call on the diagonal values
-    for diagonal-separable specs, one :func:`_line_sums` call for Schur at
-    p < inf, and one scaled matrix per row for ``op`` and callables."""
+    multiplier stack aligned with the offsets of the matrix; given a (..., M)
+    stack ``outer`` of rows g, ``max_k matrix_norm(g F_k . A, spec)`` for
+    every g, with shape (...) (``outer=np.ones(M)`` is the plain max).
+
+    A diagonal-separable spec scales its diagonal values by g for one
+    :func:`_stack_norm` call, forming no (..., K, M) array.  Schur at p < inf
+    takes :func:`_line_sums` on the products g F_k of as many rows g at a
+    time as keep them under ``_LINE_TABLE_BYTES``; ``op`` and callables
+    take one scaled matrix per (g, F_k) pair, the tests' oracle."""
     spec = _coerce_spec(spec)
-    if diagonal_separable(spec):
-        return stack_norm(spec, *diagonal_values(matrix, spec), factors, sup=sup)
-    if isinstance(spec, NormSpec) and spec.is_solid:
-        sums = _line_sums(matrix, spec, factors)
-        return (sums.max() if sup else sums) ** (1.0 / spec.p)
-    vals = np.array([matrix_norm(matrix.scale_diagonals(lambda _o, f=f: f), spec) for f in factors])
-    return vals.max() if sup else vals
+    if _diagonal_separable(spec):
+        offs, values = _diagonal_values(matrix, spec)
+        if outer is None:
+            return _stack_norm(spec, offs, values, factors)
+        return _stack_norm(spec, offs, values * outer, factors, sup=True)
+    solid = isinstance(spec, NormSpec) and spec.is_solid
+    if outer is None:
+        if solid:
+            return _line_sums(matrix, spec, factors) ** (1.0 / spec.p)
+        scaled = (matrix.scale_diagonals(lambda _o, f=f: f) for f in factors)
+        return np.array([matrix_norm(x, spec) for x in scaled])
+    k, m = np.shape(factors)
+    lead = np.shape(outer)[:-1]
+    rows = np.reshape(outer, (math.prod(lead), m))
+    step = max(1, _LINE_TABLE_BYTES // (8 * max(1, k * m))) if solid else 1
+    out = np.zeros(len(rows))
+    for i in range(0, len(rows), step):
+        chunk = rows[i : i + step]
+        stack = (chunk[:, None] * factors).reshape(len(chunk) * k, m)
+        out[i : i + step] = _stack_values(matrix, spec, stack).reshape(len(chunk), k).max(-1)
+    return out.reshape(lead)
 
 
 def _lp_combine(values, p):

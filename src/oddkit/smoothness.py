@@ -17,19 +17,16 @@ measures those constants empirically.
 
 Every evaluator applies a stack of per-diagonal multipliers to the matrix:
 difference magnitudes over the modulation grid, dyadic block masks, or
-smooth partition bands.  Base norms that read one number per diagonal
-(:func:`~oddkit.norms.diagonal_values`; every solid base except Schur at
-p < inf) evaluate the whole stack at once through
-:func:`~oddkit.norms.stack_norm`, and Schur at p < inf sums the rows and
-columns of the whole stack at once (``norms._line_sums``).  Solid norms
-read magnitudes only, so the modulus takes every solid base on the
-magnitude rows |e^{2 pi i m.t} - 1|^k, and only ``op`` and callables take
-one complex ``difference`` matrix per grid point; that loop is also the
-tests' oracle.  The modulus evaluator is one grid sup (``_grid_sup``, one
-level's grid) inside one dyadic level sum (``_level_sum``); reiteration
-nests the level sum on stacks of multipliers, the outer level's magnitude
-rows scaling the diagonal values (or, for Schur at p < inf, the inner
-stack), which keeps iterated norms affordable.
+smooth partition bands, and hands it to
+:func:`~oddkit.norms._stack_values`, which alone decides how each base
+evaluates a stack.  Solid norms read magnitudes only, so the modulus takes
+every solid base on the magnitude rows |e^{2 pi i m.t} - 1|^k, and only
+``op`` and callables take one complex ``difference`` matrix per grid point;
+that loop is also the tests' oracle.  The modulus evaluator is one grid sup
+(``_grid_sup``, one level's grid) inside one dyadic level sum
+(``_level_sum``); reiteration nests the level sum, handing each outer
+level's magnitude rows to the same stack evaluator as outer rows, which
+keeps iterated norms affordable.
 
 Smoothness norms are addressed through :class:`BesovSpec` and the string
 grammar ``besov:base=...,r=...,p=...``, whose keys the norm grammar's
@@ -38,13 +35,14 @@ tokenizer reads, so both grammars refuse the same malformed input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import norms as _norms
-from .lattice import difference
+from .lattice import _as_order, difference
 
 __all__ = [
     "BesovSpec",
@@ -102,23 +100,18 @@ def _difference_factors(offsets, pts, order):
     return theta
 
 
-def _grid_sup(matrix, spec, pts, order, values=None):
+def _grid_sup(matrix, spec, pts, order):
     """max over the points t of ``pts`` of base(|e^{2 pi i m.t} - 1|^order . A).
 
     Solid NormSpec bases read magnitudes only, so the (T, M) magnitude rows
-    are one multiplier stack: on ``values``, the diagonal values of a
-    diagonal-separable spec read once by the caller or a (..., M) stack of
-    them (the result then has shape (...)), else through
-    :func:`~oddkit.norms._stack_values`.  ``op`` and callables take one
+    are one multiplier stack, whose max :func:`~oddkit.norms._stack_values`
+    takes under the single outer row g = 1.  ``op`` and callables take one
     ``difference`` matrix per point.
     """
     if not (isinstance(spec, _norms.NormSpec) and spec.is_solid):
         return max(_norms.matrix_norm(difference(matrix, t, order), spec) for t in pts)
-    offs = matrix.offset_array()
-    factors = _difference_factors(offs, pts, order)
-    if values is None:
-        return _norms._stack_values(matrix, spec, factors, sup=True)
-    return _norms.stack_norm(spec, offs, values, factors, sup=True)
+    factors = _difference_factors(matrix.offset_array(), pts, order)
+    return _norms._stack_values(matrix, spec, factors, np.ones(factors.shape[1]))
 
 
 def _level_sum(sup, base, r, p, level_max):
@@ -133,8 +126,7 @@ def _level_sum(sup, base, r, p, level_max):
 def modulus(matrix, base, h, order=1, grid=None):
     """Modulus of smoothness: max over the grid with |t| <= h of the base
     norm of the order-fold modulation difference of the matrix."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _as_order(order)
     if not 0 < h < math.inf:
         raise ValueError("h must be finite and > 0")
     pts = t_grid(h, matrix.dim, _default_grid(matrix.dim) if grid is None else grid)
@@ -157,17 +149,15 @@ def besov_norm_modulus(
     level_max defaults to ceil(log2(2W)) + 2.
     """
     BesovSpec(base, r, p, order, grid=grid, level_max=level_max)  # refuses what a spec refuses
-    if order is None:
-        order = _default_order(r)
+    order = _default_order(r) if order is None else int(order)
     if level_max is None:
         level_max = _default_level_max(matrix.window)
     if grid is None:
         grid = _default_grid(matrix.dim)
     spec = _norms._coerce_spec(base)
-    values = _norms.diagonal_values(matrix, spec)[1] if _norms.diagonal_separable(spec) else None
 
     def sup(l):
-        return _grid_sup(matrix, spec, t_grid(2.0**-l, matrix.dim, grid), order, values)
+        return _grid_sup(matrix, spec, t_grid(2.0**-l, matrix.dim, grid), order)
 
     return float(_level_sum(sup, _norms.matrix_norm(matrix, spec), r, p, level_max))
 
@@ -290,7 +280,7 @@ class BesovSpec:
         _norms._check_smoothness(self.r, self.p)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.order is not None and self.order <= math.floor(self.r):
+        if self.order is not None and _as_order(self.order) <= math.floor(self.r):
             raise ValueError(f"difference order {self.order} must exceed floor({self.r})")
         if self.grid is not None and self.grid < 8:
             raise ValueError("grid must have at least 8 points per axis")
@@ -400,43 +390,23 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     direct = besov_norm_modulus(matrix, spec, r + s, p, grid=grid)
     if isinstance(spec, _norms.NormSpec) and spec.is_solid:
         # the level sum of level sums on stacks of multipliers: each outer
-        # level is a (T, M) stack of magnitude rows g, and sup(g, F) is the
-        # max over the rows of an inner stack F of base(F g . A), for every
-        # row of g at once
+        # level is a (T, M) stack of magnitude rows g, and the inner level
+        # sum takes max_k base(g F_k . A) over its stacks F for every row of
+        # g at once
         offs = matrix.offset_array()
-        m = offs.shape[0]
         level_max = _default_level_max(matrix.window)
         grids = [t_grid(2.0**-l, matrix.dim, grid) for l in range(level_max + 1)]
         inner_factors = [_difference_factors(offs, pts, _default_order(r)) for pts in grids]
-        if _norms.diagonal_separable(spec):
-            # g scales the diagonal values, so no (T, T, M) array is formed
-            values = _norms.diagonal_values(matrix, spec)[1]
-
-            def sup(g, factors):
-                return _norms.stack_norm(spec, offs, values * g, factors, sup=True)
-        else:
-            # Schur at p < inf: g scales the inner stack, as many rows of g
-            # at a time as keep their products under the line-table budget
-            def sup(g, factors):
-                rows = np.reshape(g, (-1, m))
-                step = max(1, _norms._LINE_TABLE_BYTES // (8 * factors.size))
-                sums = [
-                    _norms._line_sums(matrix, spec, (chunk[:, None] * factors).reshape(-1, m))
-                    .reshape(len(chunk), -1)
-                    .max(-1)
-                    for chunk in (rows[i : i + step] for i in range(0, len(rows), step))
-                ]
-                return (np.concatenate(sums) ** (1.0 / spec.p)).reshape(np.shape(g)[:-1])
+        ones = np.ones((1, offs.shape[0]))
+        stack = functools.partial(_norms._stack_values, matrix, spec)
 
         def inner(g):
-            return _level_sum(
-                lambda l: sup(g, inner_factors[l]), sup(g, np.ones((1, m))), r, p, level_max
-            )
+            return _level_sum(lambda l: stack(inner_factors[l], g), stack(ones, g), r, p, level_max)
 
         def outer(l):
             return inner(_difference_factors(offs, grids[l], _default_order(s))).max(-1)
 
-        iterated = _level_sum(outer, inner(np.ones(m)), s, p, level_max)
+        iterated = _level_sum(outer, inner(ones[0]), s, p, level_max)
     else:
         iterated = besov_norm_modulus(
             matrix, lambda x: besov_norm_modulus(x, spec, r, p, grid=grid), s, p, grid=grid

@@ -40,6 +40,8 @@ LIBRARY = [
      ValueError, "alpha components must be >= 0"),
     ("difference order 0", lambda: oddkit.difference(A1, 0.25, order=0),
      ValueError, "order must be >= 1"),
+    ("difference order 1.5", lambda: oddkit.difference(A1, 0.25, order=1.5),
+     ValueError, "order must be an integer"),
     ("modulate t length", lambda: oddkit.modulate(A1, (0.1, 0.2)),
      ValueError, "t must have 1 components"),
     ("band_truncate n < 0", lambda: oddkit.band_truncate(A1, -1),
@@ -50,6 +52,10 @@ LIBRARY = [
      ValueError, "weights not allowed"),
     ("modulus order 0", lambda: oddkit.modulus(A1, "jaffard:r=0", 0.25, order=0),
      ValueError, "order must be >= 1"),
+    ("modulus order 1.5", lambda: oddkit.modulus(A1, "jaffard:r=0", 0.25, order=1.5),
+     ValueError, "order must be an integer"),
+    ("BesovSpec order 1.5", lambda: oddkit.BesovSpec("jaffard:r=0", 0.5, order=1.5),
+     ValueError, "order must be an integer"),
     ("besov_norm_modulus level_max < 0",
      lambda: oddkit.besov_norm_modulus(A1, "jaffard:r=0", 0.5, level_max=-1),
      ValueError, "level_max must be >= 0"),
@@ -94,9 +100,24 @@ def _re_im_mismatch():
     return json.dumps(payload)
 
 
+def _with(**fields):
+    payload = _payload()
+    payload.update(fields)
+    return json.dumps(payload)
+
+
+def _offset_null():
+    payload = _payload()
+    payload["diagonals"][0]["offset"] = None
+    return json.dumps(payload)
+
+
 FILES = [
     # (label, file name, contents, message)
     ("json without window", "m.json", _without_window(), "malformed matrix payload"),
+    ("json diagonal not an object", "m.json", _with(diagonals=[5]), "malformed matrix payload"),
+    ("json diagonals not a list", "m.json", _with(diagonals=5), "malformed matrix payload"),
+    ("json offset null", "m.json", _offset_null(), "malformed matrix payload"),
     ("json re/im lengths", "m.json", _re_im_mismatch(), "re/im length mismatch"),
     ("csv record of 3 fields", "m.csv", "0,0,1.0,0.0\n1,0,0.5\n", "expected 4 fields"),
     ("csv without records", "m.csv", "# row,col,re,im\n\n", "empty matrix file"),

@@ -83,6 +83,13 @@ SKIPPED = [
     ("reiteration_ratio schur",
      lambda: oddkit.reiteration_ratio(A, "schur:p=2,r=1", 0.5, 0.5, grid=16),
      [(oddkit.LatticeMatrix, "scale_diagonals"), (smoothness, "difference")]),
+    # jaffard reads the envelope: its stacks scale the diagonal values
+    ("besov_norm_modulus jaffard",
+     lambda: oddkit.besov_norm_modulus(A, "jaffard:r=0", 0.5),
+     [(oddkit.LatticeMatrix, "scale_diagonals"), (smoothness, "difference")]),
+    ("reiteration_ratio jaffard",
+     lambda: oddkit.reiteration_ratio(A, "jaffard:r=0", 0.5, 0.5, grid=16),
+     [(oddkit.LatticeMatrix, "scale_diagonals"), (smoothness, "difference")]),
 ]
 
 

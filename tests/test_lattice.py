@@ -147,6 +147,24 @@ def test_envelope_matches_dense_sup():
         assert e == (np.abs(dense[mask]).max() if mask.any() else -np.inf)
 
 
+def test_envelope_is_kept_on_the_matrix():
+    a = random_matrix(8, 5, density=0.6)
+    offs, env = a.envelope()
+    assert a.envelope()[1] is env and not env.flags.writeable
+    lens = a.diagonal_lengths()
+    fresh = np.maximum.reduceat(np.abs(a.coordinates()[2]), np.cumsum(lens) - lens)
+    assert np.array_equal(env, fresh)
+    with pytest.raises(ValueError):
+        env[0] = 0.0
+    # a row mask is evaluated afresh and leaves the kept envelope alone
+    rows = np.arange(11) < 3
+    _, masked = a.envelope(rows=rows)
+    assert masked is not env and masked.flags.writeable
+    assert (masked <= env).all() and a.envelope()[1] is env
+    assert np.array_equal(a.envelope(rows=np.ones(11, dtype=bool))[1], env)
+    assert LatticeMatrix.zeros(1, 2).envelope()[1].shape == (0,)
+
+
 def test_modulate_fixed_points():
     a = random_matrix(8, 3)
     assert oddkit.modulate(a, 0.0) == a

@@ -9,12 +9,12 @@ from oddkit import LatticeMatrix, NormSpec, ParameterDomainWarning, Weight, norm
 from oddkit.norms import (
     _dense_singular_extremes,
     _diag_matvec,
+    _diagonal_separable,
+    _diagonal_values,
     _line_sums,
     _product_operator,
+    _stack_norm,
     _stack_values,
-    diagonal_separable,
-    diagonal_values,
-    stack_norm,
 )
 
 from conftest import (
@@ -350,23 +350,23 @@ def _check_stack_norm(a):
     stack[3, : m // 2] = 0.0
     for text in SEPARABLE_SPECS:
         spec = oddkit.parse_norm_spec(text)
-        assert diagonal_separable(spec)
-        offs, vals = diagonal_values(a, spec)
+        assert _diagonal_separable(spec)
+        offs, vals = _diagonal_values(a, spec)
         assert np.array_equal(offs, a.offset_array())
-        got = stack_norm(spec, offs, vals, stack)
+        got = _stack_norm(spec, offs, vals, stack)
         assert got.shape == (5,)
         want = [_dense_oracle(a, spec, f) for f in stack]
         for g, w in zip(got, want):
             assert math.isclose(g, w, rel_tol=1e-13, abs_tol=0.0)
-        assert math.isclose(stack_norm(spec, offs, vals, stack, sup=True), max(want), rel_tol=1e-13)
+        assert math.isclose(_stack_norm(spec, offs, vals, stack, sup=True), max(want), rel_tol=1e-13)
         # a stack of value rows gives one row of norms per value row
-        both = stack_norm(spec, offs, np.stack([vals, 2.0 * vals]), stack)
+        both = _stack_norm(spec, offs, np.stack([vals, 2.0 * vals]), stack)
         assert both.shape == (2, 5)
         assert np.allclose(both[1], 2.0 * got, rtol=1e-13, atol=0.0)
         # the family functions are the F = 1 row
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParameterDomainWarning)
-            assert oddkit.matrix_norm(a, spec) == float(stack_norm(spec, offs, vals, stack[1:2])[0])
+            assert oddkit.matrix_norm(a, spec) == float(_stack_norm(spec, offs, vals, stack[1:2])[0])
 
 
 def test_stack_norm_matches_dense_oracles():
@@ -378,10 +378,10 @@ def test_diagonal_values():
     a = random_matrix(182, 5, density=0.7)
     offs, env = a.envelope()
     for text in ("jaffard:r=1", "schur:p=inf,r=0", "cpr:p=2,r=1", "cpr:p=inf,r=1,literal=true"):
-        got_offs, got = diagonal_values(a, oddkit.parse_norm_spec(text))
+        got_offs, got = _diagonal_values(a, oddkit.parse_norm_spec(text))
         assert np.array_equal(got_offs, offs) and np.array_equal(got, env)
     # literal cpr at p < inf reads the l^p norm of each diagonal
-    _, got = diagonal_values(a, oddkit.parse_norm_spec("cpr:p=3,r=0,literal=true"))
+    _, got = _diagonal_values(a, oddkit.parse_norm_spec("cpr:p=3,r=0,literal=true"))
     want = [(np.abs(arr) ** 3).sum() ** (1 / 3) for _, arr in a.diagonals()]
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -390,7 +390,7 @@ def test_stack_norm_stacks_and_refusals():
     # cpr p=1, r=1 on offsets 0 and 1: weights (1, 2)
     spec = oddkit.parse_norm_spec("cpr:p=1,r=1")
     offs = np.array([[0], [1]])
-    out = stack_norm(spec, offs, np.ones(2), np.array([[1.0, 1.0], [0.5, 2.0]]))
+    out = _stack_norm(spec, offs, np.ones(2), np.array([[1.0, 1.0], [0.5, 2.0]]))
     assert np.array_equal(out, [3.0, 4.5])
     # sup-type: the max over the stack equals the stacked max bit for bit
     a = random_matrix(181, 8, density=0.7)
@@ -398,13 +398,13 @@ def test_stack_norm_stacks_and_refusals():
     stack = np.abs(np.random.default_rng(3).standard_normal((9, offs.shape[0])))
     for text in ("jaffard:r=0.5", "schur:p=inf,r=0", "cpr:p=inf,r=2,literal=true"):
         spec = oddkit.parse_norm_spec(text)
-        assert stack_norm(spec, offs, env, stack, sup=True) == stack_norm(spec, offs, env, stack).max()
+        assert _stack_norm(spec, offs, env, stack, sup=True) == _stack_norm(spec, offs, env, stack).max()
     for text in ("schur:p=2,r=1", "schur:p=1,r=0", "op"):
         spec = oddkit.parse_norm_spec(text)
-        assert not diagonal_separable(spec)
+        assert not _diagonal_separable(spec)
         with pytest.raises(ValueError):
-            stack_norm(spec, offs, env, stack)
-    assert not diagonal_separable(None)
+            _stack_norm(spec, offs, env, stack)
+    assert not _diagonal_separable(None)
 
 
 LINE_SUM_SPECS = ("schur:p=1,r=0", "schur:p=1.5,r=1", "schur:p=2,r=1.5", "w[bessel:r=1]schur:p=2,r=0")
@@ -428,7 +428,7 @@ def test_line_sums_match_scaled_matrix_oracle(dim, window):
     a = random_matrix(190 + dim, window, dim=dim, density=0.7)
     for text in LINE_SUM_SPECS:
         spec = oddkit.parse_norm_spec(text)
-        assert not diagonal_separable(spec)
+        assert not _diagonal_separable(spec)
         oracle = lambda x, spec=spec: oddkit.matrix_norm(x, spec)  # noqa: E731
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ParameterDomainWarning)
@@ -437,7 +437,11 @@ def test_line_sums_match_scaled_matrix_oracle(dim, window):
                 want = _stack_values(a, oracle, stack)
                 assert got.shape == want.shape == (stack.shape[0],)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0), (text, stack.shape)
-                assert math.isclose(_stack_values(a, spec, stack, sup=True), want.max(), rel_tol=1e-12)
+                assert math.isclose(
+                    _stack_values(a, spec, stack, outer=np.ones(stack.shape[1])),
+                    want.max(),
+                    rel_tol=1e-12,
+                )
                 sums = _line_sums(a, spec, stack)
                 assert np.allclose(sums ** (1.0 / spec.p), want, rtol=1e-12, atol=0.0)
     # the zero matrix, and a zero row, give 0
@@ -446,6 +450,81 @@ def test_line_sums_match_scaled_matrix_oracle(dim, window):
     for k in (1, 2, 64):
         assert np.array_equal(_stack_values(zero, spec, np.ones((k, 0))), np.zeros(k))
     assert _stack_values(a, spec, _line_sum_stacks(a.offset_array().shape[0])[1])[1] == 0.0
+
+
+OUTER_SPECS = (
+    "jaffard:r=1",
+    "w[bessel:r=1]jaffard:r=0",
+    "cpr:p=2,r=1",
+    "cpr:p=2,r=0.5,literal=true",
+    "schur:p=1,r=0",
+    "schur:p=1.5,r=1",
+    "schur:p=2,r=1.5",
+)
+
+
+def _outer_stacks(m):
+    """An inner stack F of 4 complex rows and a (2, 3, m) stack of
+    non-negative outer rows g, one of them all zero and one zero on some
+    diagonals."""
+    gen = np.random.default_rng(13)
+    inner = gen.standard_normal((4, m)) + 1j * gen.standard_normal((4, m))
+    outer = np.abs(gen.standard_normal((2, 3, m)))
+    outer[0, 1] = 0.0
+    outer[1, 2, ::2] = 0.0
+    return inner, outer
+
+
+@pytest.mark.parametrize("dim,window", [(1, 6), (2, 3)])
+def test_stack_values_outer_rows_match_pair_oracle(dim, window):
+    # max_k base(g F_k . A) for every outer row g against one scaled matrix
+    # per (g, F_k) pair, and the callable path against that explicit loop
+    a = random_matrix(195 + dim, window, dim=dim, density=0.7)
+    inner, outer = _outer_stacks(a.offset_array().shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterDomainWarning)
+        for text in OUTER_SPECS:
+            spec = oddkit.parse_norm_spec(text)
+            want = np.array([
+                [
+                    max(oddkit.matrix_norm(a.scale_diagonals(lambda _o, x=g * f: x), spec)
+                        for f in inner)
+                    for g in row
+                ]
+                for row in outer
+            ])
+            oracle = lambda x, spec=spec: oddkit.matrix_norm(x, spec)  # noqa: E731
+            assert np.array_equal(_stack_values(a, oracle, inner, outer), want)
+            got = _stack_values(a, spec, inner, outer)
+            assert got.shape == (2, 3)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), text
+            assert got[0, 1] == 0.0
+            # one outer row g gives a scalar, and no outer row an empty result
+            one = _stack_values(a, spec, inner, outer[1, 0])
+            assert np.shape(one) == () and math.isclose(one, want[1, 0], rel_tol=1e-12)
+            assert _stack_values(a, spec, inner, outer[:0, 0]).shape == (0,)
+
+
+def test_stack_values_outer_rows_schur_chunks(monkeypatch):
+    # products g F of one outer row at a time, in tables of a few diagonals,
+    # give the values of one pass over all of them
+    a = random_matrix(197, 3, dim=2, density=0.8)
+    inner, outer = _outer_stacks(a.offset_array().shape[0])
+    for text in ("schur:p=1,r=0", "schur:p=1.5,r=1"):
+        spec = oddkit.parse_norm_spec(text)
+        whole = _stack_values(a, spec, inner, outer)
+        monkeypatch.setattr(norms, "_LINE_TABLE_BYTES", 8 * a.n_rows * 5)
+        assert np.allclose(_stack_values(a, spec, inner, outer), whole, rtol=1e-13, atol=0.0)
+        monkeypatch.undo()
+
+
+def test_stack_values_outer_rows_zero_matrix():
+    for dim in (1, 2):
+        zero = LatticeMatrix.zeros(dim, 3)
+        for text in OUTER_SPECS:
+            spec = oddkit.parse_norm_spec(text)
+            got = _stack_values(zero, spec, np.ones((4, 0)), np.ones((3, 0)))
+            assert np.array_equal(got, np.zeros(3)), text
 
 
 def test_line_sums_match_dense_weighted_sums():
