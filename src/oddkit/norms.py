@@ -19,9 +19,9 @@ column sums; its one formula is ``_line_sums``, which sums
 ``_stack_values`` is the one multiplier-stack evaluator: it picks the
 formula of the base, and given a stack of outer rows g it returns
 max_k base(g F_k . A) for every g, which is how the smoothness evaluators
-take a modulus grid and reiteration takes its nested grids; only ``op``
-and callables take one scaled matrix per row.  Every solid family function
-is its single row F = 1.
+take a modulus grid and reiteration takes its nested grids, for every base
+on the same real difference rows; only ``op`` and callables take one scaled
+matrix per row.  Every solid family function is its single row F = 1.
 
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
 window).  Its dense kernel, which also serves the finite-section gates and
@@ -69,10 +69,14 @@ class ParameterDomainWarning(UserWarning):
     """Raised (as a warning) when norm parameters leave the algebra range."""
 
 
-def polynomial_weight(offsets, r):
-    """v_r(m) = (1 + |m|_2)^r on an (M, d) offset array."""
+def _polynomial_weight(offsets, r):
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
     return (1.0 + np.sqrt((offsets**2).sum(axis=1))) ** r
+
+
+def polynomial_weight(offsets, r):
+    """v_r(m) = (1 + |m|_2)^r on an (M, d) offset array."""
+    return _polynomial_weight(offsets, r)
 
 
 def bessel_weight(offsets, r):
@@ -96,7 +100,7 @@ class Weight:
 
     def __call__(self, offsets):
         if self.kind == "poly":
-            return polynomial_weight(offsets, self.r)
+            return _polynomial_weight(offsets, self.r)
         return bessel_weight(offsets, self.r)
 
 
@@ -268,7 +272,7 @@ def op_norm_l2(matrix):
 
 def _diagonal_weights(offsets, r, weight=None):
     """v_r(m), times weight(m) when given, on an (M, d) offset array."""
-    w = polynomial_weight(offsets, r)
+    w = _polynomial_weight(offsets, r)
     return w if weight is None else w * weight(offsets)
 
 
@@ -451,27 +455,27 @@ def _stack_values(matrix, spec, factors, outer=None):
     stack ``outer`` of rows g, ``max_k matrix_norm(g F_k . A, spec)`` for
     every g, with shape (...) (``outer=np.ones(M)`` is the plain max).
 
-    A diagonal-separable spec scales its diagonal values by g for one
-    :func:`_stack_norm` call, forming no (..., K, M) array.  Schur at p < inf
-    takes :func:`_line_sums` on the products g F_k of as many rows g at a
-    time as keep them under ``_LINE_TABLE_BYTES``; ``op`` and callables
-    take one scaled matrix per (g, F_k) pair, the tests' oracle."""
+    Rows may be signed; solid specs read |F| and |g|.  A diagonal-separable
+    spec scales its diagonal values by |g| for one :func:`_stack_norm` call,
+    forming no (..., K, M) array.  Every other base takes the products g F_k
+    of as many rows g at a time as keep them under ``_LINE_TABLE_BYTES``:
+    Schur at p < inf as one :func:`_line_sums` stack, ``op`` and callables as
+    one scaled matrix per (g, F_k), the tests' oracle."""
     spec = _coerce_spec(spec)
     if _diagonal_separable(spec):
         offs, values = _diagonal_values(matrix, spec)
         if outer is None:
             return _stack_norm(spec, offs, values, factors)
-        return _stack_norm(spec, offs, values * outer, factors, sup=True)
-    solid = isinstance(spec, NormSpec) and spec.is_solid
+        return _stack_norm(spec, offs, values * np.abs(outer), factors, sup=True)
     if outer is None:
-        if solid:
+        if isinstance(spec, NormSpec) and spec.is_solid:
             return _line_sums(matrix, spec, factors) ** (1.0 / spec.p)
         scaled = (matrix.scale_diagonals(lambda _o, f=f: f) for f in factors)
         return np.array([matrix_norm(x, spec) for x in scaled])
     k, m = np.shape(factors)
     lead = np.shape(outer)[:-1]
     rows = np.reshape(outer, (math.prod(lead), m))
-    step = max(1, _LINE_TABLE_BYTES // (8 * max(1, k * m))) if solid else 1
+    step = max(1, _LINE_TABLE_BYTES // (8 * max(1, k * m)))
     out = np.zeros(len(rows))
     for i in range(0, len(rows), step):
         chunk = rows[i : i + step]

@@ -16,16 +16,15 @@ The evaluators agree up to equivalence constants; the ``verify`` module
 measures those constants empirically.
 
 Every evaluator applies a stack of per-diagonal multipliers to the matrix:
-difference magnitudes over the modulation grid, dyadic block masks, or
-smooth partition bands, and hands it to
-:func:`~oddkit.norms._stack_values`, which alone decides how each base
-evaluates a stack.  Solid norms read magnitudes only, so the modulus takes
-every solid base on the magnitude rows |e^{2 pi i m.t} - 1|^k, and only
-``op`` and callables take one complex ``difference`` matrix per grid point;
-that loop is also the tests' oracle.  The modulus evaluator is one grid sup
-(``_grid_sup``, one level's grid) inside one dyadic level sum
-(``_level_sum``); reiteration nests the level sum, handing each outer
-level's magnitude rows to the same stack evaluator as outer rows, which
+difference rows over the modulation grid, dyadic block masks, or smooth
+partition bands, and hands it to :func:`~oddkit.norms._stack_values`, which
+alone decides how each base evaluates a stack.  The modulus takes every
+base, ``op`` and callables included, on the real rows (2 sin(pi m.t))^k of
+``_difference_factors``; a callable base is trusted to be
+modulation-invariant, as every norm of the framework is.  The modulus
+evaluator is one grid sup (``_grid_sup``, one level's grid) inside one
+dyadic level sum (``_level_sum``); reiteration nests the level sum, handing
+each outer level's rows to the same stack evaluator as outer rows, which
 keeps iterated norms affordable.
 
 Smoothness norms are addressed through :class:`BesovSpec` and the string
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import norms as _norms
-from .lattice import _as_order, difference
+from .lattice import _as_order
 
 __all__ = [
     "BesovSpec",
@@ -75,8 +74,12 @@ def _default_order(r):
 
 
 def t_grid(h, dim, grid):
-    """Uniform modulation grid: ``grid`` points per axis spanning [-h, h],
-    restricted to |t|_2 <= h.  Endpoints are always included."""
+    """Uniform modulation grid at dim 1 or 2: ``grid`` points per axis
+    spanning [-h, h], restricted to |t|_2 <= h.  Endpoints are included."""
+    if not 0 < h < math.inf:
+        raise ValueError("h must be finite and > 0")
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2")
     if grid < 8:
         raise ValueError("grid must have at least 8 points per axis")
     axis = np.linspace(-h, h, grid)
@@ -89,27 +92,26 @@ def t_grid(h, dim, grid):
 
 
 def _difference_factors(offsets, pts, order):
-    """|e^{2 pi i m.t} - 1|^order as a (T, M) array of magnitudes."""
+    """(2 sin(pi m.t))^order as a (T, M) array of real multiplier rows.
+
+    e^{2 pi i m.t} - 1 = 2i sin(pi m.t) e^{pi i m.t}, so the order-k
+    difference at t is i^k times the modulation by kt/2 of the row at t
+    applied to A; the modulation is an isometry of ``op`` and of every solid
+    norm, so each row gives the base norm of the difference."""
     theta = pts @ offsets.T.astype(float)  # (T, M)
-    # (2 |sin(pi theta)|)^order in place: one (T, M) buffer, not three
+    # (2 sin(pi theta))^order in place: one (T, M) buffer, not three
     np.multiply(theta, np.pi, out=theta)
     np.sin(theta, out=theta)
-    np.abs(theta, out=theta)
     theta *= 2.0
     theta **= order
     return theta
 
 
 def _grid_sup(matrix, spec, pts, order):
-    """max over the points t of ``pts`` of base(|e^{2 pi i m.t} - 1|^order . A).
-
-    Solid NormSpec bases read magnitudes only, so the (T, M) magnitude rows
-    are one multiplier stack, whose max :func:`~oddkit.norms._stack_values`
-    takes under the single outer row g = 1.  ``op`` and callables take one
-    ``difference`` matrix per point.
-    """
-    if not (isinstance(spec, _norms.NormSpec) and spec.is_solid):
-        return max(_norms.matrix_norm(difference(matrix, t, order), spec) for t in pts)
+    """max over the points t of ``pts`` of the base norm of the order-fold
+    difference at t: the rows of :func:`_difference_factors` are one
+    multiplier stack, whose max :func:`~oddkit.norms._stack_values` takes
+    under the single outer row g = 1."""
     factors = _difference_factors(matrix.offset_array(), pts, order)
     return _norms._stack_values(matrix, spec, factors, np.ones(factors.shape[1]))
 
@@ -125,10 +127,9 @@ def _level_sum(sup, base, r, p, level_max):
 
 def modulus(matrix, base, h, order=1, grid=None):
     """Modulus of smoothness: max over the grid with |t| <= h of the base
-    norm of the order-fold modulation difference of the matrix."""
+    norm of the order-fold modulation difference of the matrix; a callable
+    base is trusted to be modulation-invariant."""
     order = _as_order(order)
-    if not 0 < h < math.inf:
-        raise ValueError("h must be finite and > 0")
     pts = t_grid(h, matrix.dim, _default_grid(matrix.dim) if grid is None else grid)
     return float(_grid_sup(matrix, _norms._coerce_spec(base), pts, order))
 
@@ -143,7 +144,8 @@ def besov_norm_modulus(
     level_max=None,
 ):
     """Base norm plus the dyadic modulus sum
-    ``( sum_l (2^{r l} w_k(2^{-l}))^p )^{1/p}`` over l = 0..level_max.
+    ``( sum_l (2^{r l} w_k(2^{-l}))^p )^{1/p}`` over l = 0..level_max, each
+    w_k the grid sup of :func:`modulus` on one stack of difference rows.
 
     The difference order defaults to floor(r) + 1 and must exceed floor(r);
     level_max defaults to ceil(log2(2W)) + 2.
@@ -379,7 +381,9 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     """Ratio of the iterated smoothness norm (outer smoothness s over the
     inner (base, r) norm) to the direct (base, r + s) norm, all via the
     modulus evaluator.  The two are equivalent; the ratio measures the
-    constants.  Rejects the zero matrix."""
+    constants.  For every base the iterated norm is the level sum of level
+    sums on stacks: the difference rows g of each outer level are the outer
+    rows of the inner level sum's stacks.  Rejects the zero matrix."""
     _norms._check_smoothness(r, p)
     _norms._check_smoothness(s, p)
     spec = _norms._coerce_spec(base)
@@ -388,29 +392,20 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     if grid is None:
         grid = _default_grid(matrix.dim)
     direct = besov_norm_modulus(matrix, spec, r + s, p, grid=grid)
-    if isinstance(spec, _norms.NormSpec) and spec.is_solid:
-        # the level sum of level sums on stacks of multipliers: each outer
-        # level is a (T, M) stack of magnitude rows g, and the inner level
-        # sum takes max_k base(g F_k . A) over its stacks F for every row of
-        # g at once
-        offs = matrix.offset_array()
-        level_max = _default_level_max(matrix.window)
-        grids = [t_grid(2.0**-l, matrix.dim, grid) for l in range(level_max + 1)]
-        inner_factors = [_difference_factors(offs, pts, _default_order(r)) for pts in grids]
-        ones = np.ones((1, offs.shape[0]))
-        stack = functools.partial(_norms._stack_values, matrix, spec)
+    offs = matrix.offset_array()
+    level_max = _default_level_max(matrix.window)
+    grids = [t_grid(2.0**-l, matrix.dim, grid) for l in range(level_max + 1)]
+    inner_factors = [_difference_factors(offs, pts, _default_order(r)) for pts in grids]
+    ones = np.ones((1, offs.shape[0]))
+    stack = functools.partial(_norms._stack_values, matrix, spec)
 
-        def inner(g):
-            return _level_sum(lambda l: stack(inner_factors[l], g), stack(ones, g), r, p, level_max)
+    def inner(g):
+        return _level_sum(lambda l: stack(inner_factors[l], g), stack(ones, g), r, p, level_max)
 
-        def outer(l):
-            return inner(_difference_factors(offs, grids[l], _default_order(s))).max(-1)
+    def outer(l):
+        return inner(_difference_factors(offs, grids[l], _default_order(s))).max(-1)
 
-        iterated = _level_sum(outer, inner(ones[0]), s, p, level_max)
-    else:
-        iterated = besov_norm_modulus(
-            matrix, lambda x: besov_norm_modulus(x, spec, r, p, grid=grid), s, p, grid=grid
-        )
+    iterated = _level_sum(outer, inner(ones[0]), s, p, level_max)
     if direct == 0.0:
         raise ValueError("direct smoothness norm vanished; ratio undefined")
     return float(iterated / direct)

@@ -54,6 +54,14 @@ LIBRARY = [
      ValueError, "order must be >= 1"),
     ("modulus order 1.5", lambda: oddkit.modulus(A1, "jaffard:r=0", 0.25, order=1.5),
      ValueError, "order must be an integer"),
+    ("t_grid h nan", lambda: oddkit.t_grid(np.nan, 1, 16),
+     ValueError, "h must be finite and > 0"),
+    ("t_grid h inf", lambda: oddkit.t_grid(np.inf, 1, 16),
+     ValueError, "h must be finite and > 0"),
+    ("t_grid h < 0", lambda: oddkit.t_grid(-0.25, 1, 16),
+     ValueError, "h must be finite and > 0"),
+    ("t_grid dim 3", lambda: oddkit.t_grid(0.25, 3, 16),
+     ValueError, "dim must be 1 or 2"),
     ("BesovSpec order 1.5", lambda: oddkit.BesovSpec("jaffard:r=0", 0.5, order=1.5),
      ValueError, "order must be an integer"),
     ("besov_norm_modulus level_max < 0",

@@ -6,7 +6,8 @@ namespace that holds them, to count grid points and ARPACK products and to
 check that a perturbed result is caught.  An entry point that computed the
 same value without calling them would hide from both, so each row wraps the
 names with counters and checks that one call of the entry point reaches
-every one of them.
+every one of them.  The rows of skipped names check the converse: an entry
+point whose fast path was built to avoid a function never reaches it.
 """
 
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oddkit
-from oddkit import lab, norms, smoothness
+from oddkit import lab, lattice, norms, smoothness
 
 A = oddkit.corpus(3, 6, count=1)[0]
 
@@ -46,25 +47,37 @@ ROUTES = [
      [(smoothness, "t_grid")]),
     ("reiteration_ratio", lambda: oddkit.reiteration_ratio(A, "jaffard:r=0", 0.5, 0.5, grid=16),
      [(smoothness, "t_grid")]),
+    # op reads the modulus off the real difference rows of one stack
+    ("modulus op", lambda: oddkit.modulus(A, "op", 0.25), [(norms, "_stack_values")]),
+    ("reiteration_ratio op", lambda: oddkit.reiteration_ratio(A, "op", 0.5, 0.5, grid=8),
+     [(norms, "_stack_values")]),
     ("op_norm_l2 past 2048 rows", lambda: oddkit.op_norm_l2(_banded_past_dense_limit()),
      [(norms, "_diag_matvec")]),
 ]
 
 
-@pytest.mark.parametrize("label,call,names", ROUTES, ids=[row[0] for row in ROUTES])
-def test_entry_point_reaches_named_functions(label, call, names, monkeypatch):
+def _count_calls(pairs, monkeypatch):
+    """A Counter of calls by name, after wrapping each (owner, name) pair on
+    its owner and in every oddkit module that holds the same object."""
     counts = Counter()
-    for module, name in names:
-        original = getattr(module, name)
+    for owner, name in pairs:
+        original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
+        monkeypatch.setattr(owner, name, counting)
         for mod in list(sys.modules.values()):
             oddkit_module = getattr(mod, "__name__", "").startswith("oddkit")
             if oddkit_module and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("label,call,names", ROUTES, ids=[row[0] for row in ROUTES])
+def test_entry_point_reaches_named_functions(label, call, names, monkeypatch):
+    counts = _count_calls(names, monkeypatch)
     call()
     missing = [name for _, name in names if not counts[name]]
     assert not missing, f"{label} no longer calls {missing}"
@@ -82,27 +95,25 @@ SKIPPED = [
      [(oddkit.LatticeMatrix, "scale_diagonals")]),
     ("reiteration_ratio schur",
      lambda: oddkit.reiteration_ratio(A, "schur:p=2,r=1", 0.5, 0.5, grid=16),
-     [(oddkit.LatticeMatrix, "scale_diagonals"), (smoothness, "difference")]),
+     [(oddkit.LatticeMatrix, "scale_diagonals"), (lattice, "difference")]),
+    # op takes the real difference rows, not one complex difference
+    # matrix per grid point
+    ("modulus op", lambda: oddkit.modulus(A, "op", 0.25), [(lattice, "difference")]),
+    ("reiteration_ratio op",
+     lambda: oddkit.reiteration_ratio(A, "op", 0.5, 0.5, grid=8),
+     [(lattice, "difference")]),
     # jaffard reads the envelope: its stacks scale the diagonal values
     ("besov_norm_modulus jaffard",
      lambda: oddkit.besov_norm_modulus(A, "jaffard:r=0", 0.5),
-     [(oddkit.LatticeMatrix, "scale_diagonals"), (smoothness, "difference")]),
+     [(oddkit.LatticeMatrix, "scale_diagonals"), (lattice, "difference")]),
     ("reiteration_ratio jaffard",
      lambda: oddkit.reiteration_ratio(A, "jaffard:r=0", 0.5, 0.5, grid=16),
-     [(oddkit.LatticeMatrix, "scale_diagonals"), (smoothness, "difference")]),
+     [(oddkit.LatticeMatrix, "scale_diagonals"), (lattice, "difference")]),
 ]
 
 
 @pytest.mark.parametrize("label,call,names", SKIPPED, ids=[row[0] for row in SKIPPED])
 def test_entry_point_skips_named_functions(label, call, names, monkeypatch):
-    counts = Counter()
-    for owner, name in names:
-        original = getattr(owner, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counting)
+    counts = _count_calls(names, monkeypatch)
     call()
     assert not counts, f"{label} calls {dict(counts)}"

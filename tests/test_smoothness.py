@@ -12,7 +12,7 @@ import oddkit
 from oddkit import BesovSpec, DyadicPartition, LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
 from oddkit.smoothness import _default_level_max
 
-from conftest import random_matrix, single_diagonal
+from conftest import dense_difference, offset_grid, random_matrix, single_diagonal
 
 
 def decay_matrix(seed, window, exponent=2.5, dim=1):
@@ -74,6 +74,70 @@ def test_modulus_generic_and_reducer_paths_agree():
     fast = oddkit.modulus(a, spec, 0.25, order=2)
     slow = oddkit.modulus(a, lambda m: oddkit.jaffard_norm(m, 1.0), 0.25, order=2)
     assert math.isclose(fast, slow, rel_tol=1e-12)
+
+
+def _dense_op(dense):
+    return np.linalg.norm(dense, 2)
+
+
+def _dense_modulus(base, dense, diff, dim, h, order, grid):
+    """max over the t_grid points of base(dense D_t^order), entrywise."""
+    pts = oddkit.t_grid(h, dim, grid)
+    return max(base(dense_difference(dense, diff, t, order)) for t in pts)
+
+
+def _dense_besov(base, dense, diff, dim, r, grid, level_max):
+    """base + max over levels of 2^{r l} times the level's dense modulus
+    (p = inf, order floor(r) + 1)."""
+    order = math.floor(r) + 1
+    levels = (
+        2.0 ** (r * l) * _dense_modulus(base, dense, diff, dim, 2.0**-l, order, grid)
+        for l in range(level_max + 1)
+    )
+    return base(dense) + max(levels)
+
+
+@pytest.mark.parametrize("dim,window", [(1, 6), (2, 2)])
+@pytest.mark.parametrize("kind", ["det", "phase"])
+def test_op_modulus_matches_dense_oracle(dim, window, kind):
+    # op reads the modulus off the real rows (2 sin(pi m.t))^k; the oracle
+    # takes the 2-norm of each complex dense difference
+    a = oddkit.generate(oddkit.DecayModel(kind, 2.0, seed=1), window, dim=dim)
+    dense, diff = a.to_dense(), offset_grid(dim, window)
+    for order in (1, 2, 3):
+        for h in (1 / 4, 1 / 16):
+            got = oddkit.modulus(a, "op", h, order, grid=16)
+            want = _dense_modulus(_dense_op, dense, diff, dim, h, order, 16)
+            assert math.isclose(got, want, rel_tol=1e-12), (order, h)
+
+
+def test_op_modulus_keeps_the_sign_of_its_rows():
+    # magnitude rows |2 sin(pi m t)| read 1.353 here: the op norm sees the
+    # sign pattern of a real multiplier, the solid norms do not
+    a = oddkit.generate(oddkit.DecayModel("det", 2.0, seed=1), 6)
+    pts = oddkit.t_grid(0.25, 1, 64)
+    want = _dense_modulus(_dense_op, a.to_dense(), offset_grid(1, 6), 1, 0.25, 1, 64)
+    magnitude = max(
+        oddkit.op_norm_l2(a.scale_diagonals(lambda o, t=t: np.abs(2.0 * np.sin(np.pi * (o @ t)))))
+        for t in pts
+    )
+    assert math.isclose(want, 1.0938, rel_tol=1e-4)
+    assert math.isclose(magnitude, 1.3533, rel_tol=1e-4)
+    assert math.isclose(oddkit.modulus(a, "op", 0.25), want, rel_tol=1e-12)
+
+
+def test_op_reiteration_matches_nested_dense_oracle():
+    a = decay_matrix(5, 3)
+    dense, diff = a.to_dense(), offset_grid(1, 3)
+    level_max = _default_level_max(3)
+
+    def inner(x):
+        return _dense_besov(_dense_op, x, diff, 1, 0.5, 8, level_max)
+
+    iterated = _dense_besov(inner, dense, diff, 1, 0.5, 8, level_max)
+    direct = _dense_besov(_dense_op, dense, diff, 1, 1.0, 8, level_max)
+    got = oddkit.reiteration_ratio(a, "op", 0.5, 0.5, grid=8)
+    assert math.isclose(got, iterated / direct, rel_tol=1e-10)
 
 
 def test_besov_modulus_main_diagonal_only():
@@ -335,9 +399,10 @@ def test_reiteration_single_diagonal_and_zero():
 
 
 def test_reiteration_fast_path_matches_generic():
-    # the callable oracle makes one difference matrix per grid point and
-    # level; 16 points, as in the stack-path tests below, keep it to about
-    # a second, and criterion 5 covers the default grid
+    # the callable oracle scales one matrix per stack row, for every pair
+    # of grid points of every pair of levels; 16 points, as in the
+    # stack-path tests below, keep it to about a second, and criterion 5
+    # covers the default grid
     a = decay_matrix(10, 8)
     fast = oddkit.reiteration_ratio(a, NormSpec("jaffard", r=0.0), 0.5, 0.5, grid=16)
     slow = oddkit.reiteration_ratio(a, lambda m: oddkit.jaffard_norm(m, 0.0), 0.5, 0.5, grid=16)
@@ -369,8 +434,8 @@ def test_reiteration_stack_paths_match_generic():
 
 def test_reiteration_schur_matches_generic():
     # Schur at p < inf scales the inner stack by each outer row; the
-    # callable path nests a whole besov_norm_modulus per outer grid point
-    # (2-3 s); a weighted base at p = 1.5, inner order 2 and an l^2
+    # callable path scales one matrix per pair of outer and inner rows;
+    # a weighted base at p = 1.5, inner order 2 and an l^2
     # level sum, and r != s to tell the inner norm from the outer one
     a = oddkit.corpus(3, 8, count=1)[0]
     spec = NormSpec("schur", p=1.5, r=1.0)
@@ -403,8 +468,7 @@ def test_reiteration_fast_path_matches_generic_d2():
 def test_literal_cpr_stack_evaluators_match_generic():
     # literal cpr reads one l^p norm per diagonal, Schur at p < inf the
     # line sums of the whole stack; every evaluator on the stack path
-    # agrees with the callable path, whose modulus takes one complex
-    # difference matrix per grid point
+    # agrees with the callable path, which scales one matrix per stack row
     for dim, window in ((1, 6), (2, 2)):
         a = decay_matrix(13, window, dim=dim)
         for spec in (NormSpec("cpr", p=1.0, r=0.0, literal=True),
