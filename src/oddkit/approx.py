@@ -4,7 +4,8 @@ The approximants of bandwidth n are the matrices whose offsets satisfy
 |m|_inf < n (so bandwidth 0 is the zero matrix and bandwidth 1 the main
 diagonal).  For solid norms that decompose over diagonals, truncation is the
 best approximant, so the approximation error is simply the norm of the
-discarded tail.
+discarded tail, read as the multiplier row of the mask |m|_inf >= n: one
+stack row per bandwidth n, with no truncated or subtracted matrix formed.
 
 ``approx_space_norm`` aggregates the error sequence E_n into a norm, either
 as the discretized integral sum_{n=0}^{2W} E_n^p (n+1)^{rp-1} or as the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import norms as _norms
-from .lattice import band_truncate
+from .lattice import _as_bandwidth
 from .smoothness import besov_norm_solid_lp
 
 __all__ = [
@@ -35,25 +36,23 @@ __all__ = [
 _FORMS = ("sum", "dyadic")
 
 
+def _tail_errors(matrix, base, ns):
+    """E_n for every bandwidth n of ``ns``: the base norm of the tail mask
+    |m|_inf >= n applied to the matrix, one multiplier-stack row per n."""
+    sup = np.abs(matrix.offset_array()).max(axis=1)
+    return _norms._stack_values(matrix, base, sup[None, :] >= ns[:, None])
+
+
 def approx_error(matrix, n, base):
     """E_n: base norm of the matrix minus its bandwidth-n truncation."""
-    if n < 0:
-        raise ValueError("bandwidth must be >= 0")
-    return _norms.matrix_norm(matrix - band_truncate(matrix, n), base)
+    return float(_tail_errors(matrix, base, np.array([_as_bandwidth(n)]))[0])
 
 
 def approx_errors(matrix, base, n_max=None):
-    """The error sequence (E_0, ..., E_{n_max}) as an array: the base norm
-    of the tail mask |m|_inf >= n applied to the matrix, one multiplier-stack
-    row per bandwidth n.
-    """
+    """The error sequence (E_0, ..., E_{n_max}) as an array."""
     if n_max is None:
         n_max = 2 * matrix.window
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    sup = np.abs(matrix.offset_array()).max(axis=1)
-    masks = sup[None, :] >= np.arange(n_max + 1)[:, None]  # (N+1, M)
-    return _norms._stack_values(matrix, base, masks)
+    return _tail_errors(matrix, base, np.arange(_as_bandwidth(n_max, "n_max") + 1))
 
 
 def approx_space_norm(matrix, base, r, p=math.inf, form="sum"):

@@ -16,13 +16,14 @@ the matrix and its inverse.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import smoothness as _smoothness
-from .lattice import LatticeMatrix, _drop_zero, _offset_table
+from .lattice import LatticeMatrix, _as_bandwidth, _drop_zero, _offset_table
 from .norms import _dense_singular_extremes, _real_if_exact, op_norm_l2
 
 __all__ = [
@@ -93,8 +94,8 @@ def generate(model, window, dim=1, band=None):
         raise ValueError("window must be >= 1")
     if band is None:
         band = 2 * window
-    band = int(band)
-    if not (0 <= band <= 2 * window):
+    band = _as_bandwidth(band, "band")
+    if not band <= 2 * window:
         raise ValueError("band must lie in [0, 2W]")
     offs, lens = _offset_table(dim, window, band)
     # scalar Python powers: numpy's ** differs from them in the last bit
@@ -317,6 +318,31 @@ class InvarianceReport:
         }
 
 
+def _libc_malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _libc_malloc_trim()
+
+
+def _release_freed_memory():
+    """Hand the free pages of the C heap back to the OS (a no-op without
+    glibc).  glibc serves a section smaller than the largest mapping freed
+    so far from its heap and returns only the heap's top, so one small
+    long-lived allocation that lands above a freed section keeps all of it
+    resident.  Without this, the peak RSS of a W = 512 report moved by
+    about 29 MB from one process to the next with its address layout."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _default_report_norms(model):
     return (
         f"jaffard:r={repr(float(model.exponent))}",
@@ -345,9 +371,11 @@ def spectral_invariance_report(model, windows, norms=None, margin=2.0, dim=1):
 
     def cell(window):
         # one dense section alive at a time: the extremes' is freed before
-        # invert_finite_section makes its own, and `a` is not kept
+        # invert_finite_section makes its own, `a` is not kept, and the
+        # pages freed so far go back to the OS before the inverse is formed
         b = make_invertible(generate(model, window, dim=dim), margin=margin)
         s_max, s_min = _dense_singular_extremes(b.to_dense())
+        _release_freed_memory()
         b_inv = invert_finite_section(b)
         norm_table = {
             text: {

@@ -549,9 +549,7 @@ def band_truncate(matrix, n):
 
     n = 0 yields the zero matrix; n = 1 keeps only the main diagonal.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("bandwidth must be >= 0")
+    n = _as_bandwidth(n)
     return matrix.select(np.abs(matrix.offset_array()).max(axis=1, initial=0) < n)
 
 
@@ -614,6 +612,16 @@ def _as_order(order):
     if order < 1:
         raise ValueError("order must be >= 1")
     return int(order)
+
+
+def _as_bandwidth(n, name="bandwidth"):
+    """A bandwidth as an int >= 0; a non-integral, NaN or negative one is
+    refused, and an integral float such as 2.0 is taken as 2."""
+    if not float(n).is_integer():
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return int(n)
 
 
 def difference(matrix, t, order=1):

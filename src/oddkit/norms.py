@@ -7,7 +7,8 @@ side diagonal, which keeps every weight a per-diagonal multiplier:
 * ``schur_norm``: weighted row/column l^p sums,
 * ``cpr_norm``: l^p sum over diagonals of the weighted envelope
   (with a ``literal`` variant that sums entry powers inside each diagonal),
-* ``weighted_norm``: any solid base norm after a diagonal weight.
+* ``weighted_norm``: any solid base norm after a diagonal weight, read as
+  the one stack row weight(offsets).
 
 Every solid norm except Schur at p < inf reads one number per diagonal
 (the envelope, stored once per matrix, or the l^p norm of the diagonal for
@@ -21,7 +22,9 @@ formula of the base, and given a stack of outer rows g it returns
 max_k base(g F_k . A) for every g, which is how the smoothness evaluators
 take a modulus grid and reiteration takes its nested grids, for every base
 on the same real difference rows; only ``op`` and callables take one scaled
-matrix per row.  Every solid family function is its single row F = 1.
+matrix per row.  Every solid family function is its single row F = 1, and
+``weighted_norm`` (so ``bessel_norm``) the single row of its weight;
+``_require_solid`` is the one refusal of ``op`` as a base.
 
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
 window).  Its dense kernel, which also serves the finite-section gates and
@@ -322,18 +325,30 @@ def cpr_norm(matrix, p, r, weight=None, literal=False):
     return _one_row(matrix, spec)
 
 
+def _require_solid(base):
+    """The base coerced once; an ``op`` spec is refused."""
+    spec = _coerce_spec(base)
+    if isinstance(spec, NormSpec) and not spec.is_solid:
+        raise ValueError("this evaluator requires a solid base norm")
+    return spec
+
+
 def weighted_norm(matrix, base, weight):
-    """Base norm of the matrix with diagonal m scaled by weight(m).
+    """Base norm of the matrix with diagonal m scaled by weight(m), read as
+    the one multiplier-stack row weight(offsets).
 
     Only solid bases qualify: for those, scaling the diagonals by |w| is the
     same as weighting the norm, which is what makes the composition a norm.
     A callable base is trusted to be solid.
     """
-    base = _coerce_spec(base)
-    if isinstance(base, NormSpec) and not base.is_solid:
-        raise ValueError("weighted_norm requires a solid base norm")
-    scaled = matrix.scale_diagonals(lambda offs: np.asarray(weight(offs), dtype=complex))
-    return matrix_norm(scaled, base)
+    base = _require_solid(base)
+    offs = matrix.offset_array()
+    row = np.asarray(weight(offs))
+    if row.shape != (len(offs),):
+        raise ValueError(f"weight must give {len(offs)} factors, one per stored diagonal")
+    if not np.isfinite(row).all():
+        raise ValueError("non-finite diagonal factor")
+    return float(_stack_values(matrix, base, row[None])[0])
 
 
 def matrix_norm(matrix, spec):
@@ -383,17 +398,13 @@ def _diagonal_values(matrix, spec):
     return matrix.envelope()
 
 
-def _stack_norm(spec, offsets, values, factors, sup=False):
+def _stack_norm(spec, offsets, values, factors):
     """``matrix_norm(F_k . A, spec)`` for every row F_k of a (K, M) stack of
     per-diagonal multipliers, from the :func:`_diagonal_values` of A on
     ``offsets``; the one formula of every :func:`_diagonal_separable` spec.
 
-    ``values`` may also be a (..., M) stack; the result has shape (..., K),
-    or (...) with ``sup=True``, which takes the max over the rows.
-    Sup-type bases evaluate ``((values * |F|) * w).max(-1)``; because
-    rounding is monotone, the max over rows commutes with the max over
-    diagonals, so ``sup=True`` reduces |F| to its column max first and gives
-    the same bits in O(M) instead of O(K M) per stack entry.  cpr at p < inf
+    ``values`` may also be a (..., M) stack; the result has shape (..., K).
+    Sup-type bases evaluate ``((values * |F|) * w).max(-1)``; cpr at p < inf
     is ``((values * w)^p @ |F|^p.T)^(1/p)``, one matrix product also for a
     stack of values.  Specs that are not diagonal-separable raise.
     """
@@ -403,14 +414,8 @@ def _stack_norm(spec, offsets, values, factors, sup=False):
     values = np.asarray(values, dtype=float)
     mult = np.abs(np.asarray(factors)).astype(float, copy=False)
     if spec.kind == "jaffard" or math.isinf(spec.p):
-        if sup:
-            mult = mult.max(axis=0, keepdims=True)
-        out = ((values[..., None, :] * mult) * w).max(axis=-1, initial=0.0)
-        return out[..., 0] if sup else out
-    out = ((values * w) ** spec.p) @ (mult**spec.p).T
-    if sup:
-        out = out.max(axis=-1)
-    return out ** (1.0 / spec.p)
+        return ((values[..., None, :] * mult) * w).max(axis=-1, initial=0.0)
+    return (((values * w) ** spec.p) @ (mult**spec.p).T) ** (1.0 / spec.p)
 
 
 def _line_sums(matrix, spec, factors):
@@ -457,16 +462,21 @@ def _stack_values(matrix, spec, factors, outer=None):
 
     Rows may be signed; solid specs read |F| and |g|.  A diagonal-separable
     spec scales its diagonal values by |g| for one :func:`_stack_norm` call,
-    forming no (..., K, M) array.  Every other base takes the products g F_k
-    of as many rows g at a time as keep them under ``_LINE_TABLE_BYTES``:
-    Schur at p < inf as one :func:`_line_sums` stack, ``op`` and callables as
-    one scaled matrix per (g, F_k), the tests' oracle."""
+    forming no (..., K, M) array; a sup-type one first reduces |F| to its
+    column max, the same bits (rounding is monotone, so the max over rows
+    commutes with the max over diagonals) in O(M) instead of O(K M) per g.
+    Every other base takes the products g F_k of as many rows g at a time as
+    keep them under ``_LINE_TABLE_BYTES``: Schur at p < inf as one
+    :func:`_line_sums` stack, ``op`` and callables as one scaled matrix per
+    (g, F_k), the tests' oracle."""
     spec = _coerce_spec(spec)
     if _diagonal_separable(spec):
         offs, values = _diagonal_values(matrix, spec)
         if outer is None:
             return _stack_norm(spec, offs, values, factors)
-        return _stack_norm(spec, offs, values * np.abs(outer), factors, sup=True)
+        if spec.kind == "jaffard" or math.isinf(spec.p):
+            factors = np.abs(factors).max(axis=0, keepdims=True)
+        return _stack_norm(spec, offs, values * np.abs(outer), factors).max(axis=-1)
     if outer is None:
         if isinstance(spec, NormSpec) and spec.is_solid:
             return _line_sums(matrix, spec, factors) ** (1.0 / spec.p)

@@ -164,20 +164,12 @@ def besov_norm_modulus(
     return float(_level_sum(sup, _norms.matrix_norm(matrix, spec), r, p, level_max))
 
 
-def _require_solid(base):
-    """The base coerced once; an ``op`` spec is refused."""
-    spec = _norms._coerce_spec(base)
-    if isinstance(spec, _norms.NormSpec) and not spec.is_solid:
-        raise ValueError("this evaluator requires a solid base norm")
-    return spec
-
-
 def besov_norm_solid_lp(matrix, base, r, p=math.inf):
     """Weighted l^p sum of base norms of the dyadic diagonal blocks
     floor(2^k) <= |m|_inf < 2^{k+1}, k >= -1 (k = -1 is the main diagonal,
     entering with weight 2^{-r})."""
     _norms._check_smoothness(r, p)
-    base = _require_solid(base)
+    base = _norms._require_solid(base)
     offs = matrix.offset_array()
     # block k of offset m: floor(2^k) <= |m|_inf < 2^(k+1), -1 for m = 0
     block = np.frexp(np.abs(offs).max(axis=1))[1] - 1
@@ -244,7 +236,7 @@ def besov_norm_phi_lp(matrix, base, r, p=math.inf):
     """Like :func:`besov_norm_solid_lp` but with the hard dyadic blocks
     replaced by the smooth partition bands (k = -1 uses the low-pass)."""
     _norms._check_smoothness(r, p)
-    base = _require_solid(base)
+    base = _norms._require_solid(base)
     partition = DyadicPartition()
     offs = matrix.offset_array()
     max_abs = int(np.abs(offs).max(initial=0))

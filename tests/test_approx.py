@@ -7,7 +7,7 @@ import oddkit
 from oddkit import LatticeMatrix
 from oddkit.approx import approx_errors
 
-from conftest import random_matrix, single_diagonal
+from conftest import offset_grid, random_matrix, single_diagonal
 
 
 def geometric_matrix(window):
@@ -40,6 +40,27 @@ def test_approx_errors_sweep_matches_loop():
             [oddkit.approx_error(a, n, base) for n in range(2 * a.window + 1)]
         )
         assert np.allclose(fast, slow, rtol=1e-12)
+
+
+def _entry_sum(matrix):
+    # a solid norm that no NormSpec names: the sum of all entry magnitudes
+    return float(np.abs(matrix.to_dense()).sum())
+
+
+@pytest.mark.parametrize("dim,window", [(1, 5), (2, 2)])
+def test_approx_error_op_and_callable_match_dense_tail(dim, window):
+    # E_n is the base norm of the dense matrix with the entries of
+    # |k - l|_inf < n set to zero
+    a = random_matrix(5 + dim, window, dim=dim, density=0.8)
+    dense = a.to_dense()
+    sup = np.abs(offset_grid(dim, window)).max(axis=-1)
+    for n in range(2 * window + 2):
+        tail = np.where(sup >= n, dense, 0.0)
+        want = np.linalg.norm(tail, 2)
+        assert math.isclose(oddkit.approx_error(a, n, "op"), want, rel_tol=1e-12, abs_tol=1e-15)
+        assert math.isclose(
+            oddkit.approx_error(a, n, _entry_sum), np.abs(tail).sum(), rel_tol=1e-13, abs_tol=0.0
+        )
 
 
 def test_approx_errors_nonincreasing_and_vanishing():

@@ -19,6 +19,7 @@ from oddkit.cli import main
 from conftest import single_diagonal
 
 A1 = single_diagonal(4, 1)
+A2 = A1 + LatticeMatrix.identity(1, 4)  # two stored diagonals
 
 LIBRARY = [
     # (label, call, exception, message)
@@ -46,6 +47,33 @@ LIBRARY = [
      ValueError, "t must have 1 components"),
     ("band_truncate n < 0", lambda: oddkit.band_truncate(A1, -1),
      ValueError, "bandwidth must be >= 0"),
+    ("band_truncate n 1.5", lambda: oddkit.band_truncate(A1, 1.5),
+     ValueError, "bandwidth must be an integer"),
+    ("band_truncate n nan", lambda: oddkit.band_truncate(A1, np.nan),
+     ValueError, "bandwidth must be an integer"),
+    ("approx_error n < 0", lambda: oddkit.approx_error(A1, -1, "jaffard:r=0"),
+     ValueError, "bandwidth must be >= 0"),
+    ("approx_error n 1.5", lambda: oddkit.approx_error(A1, 1.5, "jaffard:r=0"),
+     ValueError, "bandwidth must be an integer"),
+    ("approx_error n nan", lambda: oddkit.approx_error(A1, np.nan, "jaffard:r=0"),
+     ValueError, "bandwidth must be an integer"),
+    ("approx_errors n_max 2.5", lambda: oddkit.approx_errors(A1, "jaffard:r=0", n_max=2.5),
+     ValueError, "n_max must be an integer"),
+    ("approx_errors n_max inf", lambda: oddkit.approx_errors(A1, "jaffard:r=0", n_max=np.inf),
+     ValueError, "n_max must be an integer"),
+    ("generate band 1.5", lambda: oddkit.generate(DecayModel("det", 2.0), 4, band=1.5),
+     ValueError, "band must be an integer"),
+    ("weighted_norm scalar weight",
+     lambda: oddkit.weighted_norm(A2, "jaffard:r=0", lambda offs: 2.0),
+     ValueError, "weight must give 2 factors"),
+    ("weighted_norm short weight",
+     lambda: oddkit.weighted_norm(A2, "jaffard:r=0", lambda offs: np.ones(1)),
+     ValueError, "weight must give 2 factors"),
+    ("weighted_norm non-finite weight",
+     lambda: oddkit.weighted_norm(A2, "jaffard:r=0", lambda offs: np.full(len(offs), np.inf)),
+     ValueError, "non-finite"),
+    ("weighted_norm op base", lambda: oddkit.weighted_norm(A2, "op", Weight("poly", 1.0)),
+     ValueError, "requires a solid base norm"),
     ("NormSpec unknown kind", lambda: NormSpec("frobenius"),
      ValueError, "unknown norm kind"),
     ("NormSpec weighted op", lambda: NormSpec("op", weight=Weight("poly", 1.0)),

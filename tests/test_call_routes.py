@@ -51,6 +51,10 @@ ROUTES = [
     ("modulus op", lambda: oddkit.modulus(A, "op", 0.25), [(norms, "_stack_values")]),
     ("reiteration_ratio op", lambda: oddkit.reiteration_ratio(A, "op", 0.5, 0.5, grid=8),
      [(norms, "_stack_values")]),
+    # a weight and a band tail are one multiplier-stack row
+    ("bessel_norm", lambda: oddkit.bessel_norm(A, 1.0, "schur:p=1,r=0"),
+     [(norms, "_stack_values")]),
+    ("approx_error", lambda: oddkit.approx_error(A, 2, "jaffard:r=0"), [(norms, "_stack_values")]),
     ("op_norm_l2 past 2048 rows", lambda: oddkit.op_norm_l2(_banded_past_dense_limit()),
      [(norms, "_diag_matvec")]),
 ]
@@ -83,6 +87,13 @@ def test_entry_point_reaches_named_functions(label, call, names, monkeypatch):
     assert not missing, f"{label} no longer calls {missing}"
 
 
+POLY = oddkit.Weight("poly", 1.5)
+NO_SCALING = [(oddkit.LatticeMatrix, "scale_diagonals")]
+NO_TRUNCATION = [
+    (lattice, "band_truncate"), (oddkit.LatticeMatrix, "scale_diagonals"),
+    (oddkit.LatticeMatrix, "__sub__"),
+]
+
 SKIPPED = [
     # (label, entry point, (owner, name) pairs it must not call)
     # the shifted phase section has kappa <= 3: the Gram eigenvalues certify
@@ -109,6 +120,15 @@ SKIPPED = [
     ("reiteration_ratio jaffard",
      lambda: oddkit.reiteration_ratio(A, "jaffard:r=0", 0.5, 0.5, grid=16),
      [(oddkit.LatticeMatrix, "scale_diagonals"), (lattice, "difference")]),
+    # a weight is one stack row, not a scaled copy of the matrix
+    ("bessel_norm jaffard", lambda: oddkit.bessel_norm(A, 1.0, "jaffard:r=0"), NO_SCALING),
+    ("bessel_norm schur", lambda: oddkit.bessel_norm(A, 1.0, "schur:p=1,r=0"), NO_SCALING),
+    ("weighted_norm jaffard", lambda: oddkit.weighted_norm(A, "jaffard:r=0", POLY), NO_SCALING),
+    ("weighted_norm schur", lambda: oddkit.weighted_norm(A, "schur:p=1,r=0", POLY), NO_SCALING),
+    # a band tail is one mask row: no truncated or subtracted matrix
+    ("approx_error jaffard", lambda: oddkit.approx_error(A, 2, "jaffard:r=0"), NO_TRUNCATION),
+    ("approx_error schur", lambda: oddkit.approx_error(A, 2, "schur:p=1,r=0"), NO_TRUNCATION),
+    ("approx_error cpr", lambda: oddkit.approx_error(A, 2, "cpr:p=2,r=1"), NO_TRUNCATION),
 ]
 
 

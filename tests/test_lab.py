@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -313,6 +314,14 @@ def test_spectral_invariance_report_schema():
     rows = report_csv_rows(rep)
     assert rows[0] == ("window", "spec", "forward", "inverse")
     assert len(rows) == 1 + 2 * 3
+
+
+def test_release_freed_memory_resolves_on_glibc():
+    # the report hands freed section pages back with glibc's malloc_trim; a
+    # failed lookup would turn it into a silent no-op
+    if platform.libc_ver()[0] == "glibc":
+        assert lab._MALLOC_TRIM is not None
+    assert lab._release_freed_memory() is None
 
 
 def test_interior_envelope_matches_dense():
