@@ -80,12 +80,17 @@ def bessel_norm(matrix, r, base):
 class HypersingularQuadrature:
     """Cutoff-multiplier table mu_eps(m) for a fixed exponent r in (0, 2).
 
-    Values are cached per diagonal (they depend on |m|_2 only) across the
-    cutoff grid eps = 2^-1, ..., 2^-LEVELS.  Node-doubling passes stop when
-    successive values agree to ``REL_TOL`` relative for every cutoff.
+    A row holds mu_eps(m) across the cutoff grid eps = 2^-1, ..., 2^-LEVELS.
+    It depends on (r, dim, |m|_2^2) only, so each row is computed once per
+    process and kept read-only in the class-level ``_ROWS`` table, which
+    every quadrature of the same (r, dim) shares.  Node-doubling passes stop
+    when successive values agree to ``REL_TOL`` relative for every cutoff.
     """
 
     _GL_CACHE = {}
+    # (r, dim, |m|^2, LEVELS, REL_TOL, MAX_NODES) -> read-only mu_eps row;
+    # the module constants are part of the key because the row depends on them
+    _ROWS = {}
 
     def __init__(self, r, dim=1):
         if not (0.0 < r < 2.0):
@@ -94,7 +99,6 @@ class HypersingularQuadrature:
             raise ValueError("dim must be 1 or 2")
         self.r = float(r)
         self.dim = int(dim)
-        self._cache = {}
 
     @property
     def eps_grid(self):
@@ -165,26 +169,43 @@ class HypersingularQuadrature:
     def multipliers(self, offsets):
         """mu_eps(m) table for an (M, d) offset array, shape (M, levels).
 
-        Values are real; mu_eps(0) = 0 and mu_eps(-m) = mu_eps(m).
+        Values are real; mu_eps(0) = 0 and mu_eps(-m) = mu_eps(m).  A 1-d
+        input is read as (M, 1).  Offsets must be integers with
+        |m_j| < 2^31, one column per lattice dimension.  The returned array
+        is a fresh copy of the shared rows.
         """
-        offsets = np.asarray(offsets, dtype=np.int64)
+        offsets = np.asarray(offsets)
         if offsets.ndim == 1:
             offsets = offsets.reshape(-1, 1)
-        out = np.empty((offsets.shape[0], LEVELS))
-        for i, off in enumerate(offsets):
-            key = int((off.astype(np.int64) ** 2).sum())
-            row = self._cache.get(key)
+        if offsets.ndim != 2 or offsets.shape[1] != self.dim:
+            raise ValueError(
+                f"offsets must have shape (M, {self.dim}), got {offsets.shape}"
+            )
+        real = offsets.astype(float) if offsets.dtype.kind in "biuf" else np.nan
+        if not (np.all(np.abs(real) < 2.0**31) and np.all(real == np.trunc(real))):
+            raise ValueError("offsets must be integers with |m_j| < 2^31")
+        # |m_j| < 2^31 keeps |m|^2 within int64 at d <= 2
+        sq = (real.astype(np.int64) ** 2).sum(axis=1)
+        keys, inverse = np.unique(sq, return_inverse=True)
+        rows = []
+        for k in keys.tolist():
+            key = (self.r, self.dim, k, LEVELS, REL_TOL, MAX_NODES)
+            row = self._ROWS.get(key)
             if row is None:
-                row = self._mu_row(math.sqrt(key))
-                self._cache[key] = row
-            out[i] = row
-        return out
+                row = self._mu_row(math.sqrt(k))
+                row.flags.writeable = False
+                self._ROWS[key] = row
+            rows.append(row)
+        return np.array(rows).reshape(-1, LEVELS)[inverse]
 
 
 def hypersingular_profile(matrix, r, base, quad=None):
     """Seminorm values base(mu_eps . A) over the cutoff grid.
 
-    Returns (eps_grid, values) with eps decreasing.
+    Returns (eps_grid, values) with eps decreasing.  ``quad`` is an
+    optional :class:`HypersingularQuadrature`; it must carry the same
+    (r, dim) as the call.  Its rows come from the process-wide row table
+    either way, so passing one saves no quadrature work.
     """
     if quad is None:
         quad = HypersingularQuadrature(r, matrix.dim)
@@ -202,6 +223,7 @@ def hypersingular_norm(matrix, r, base, quad=None):
     cutoffs; if the last three grid points still move by more than the
     quadrature tolerance a :class:`StabilizationWarning` is emitted (typical
     for r close to 2, where the cutoff integral converges very slowly).
+    ``quad`` is passed on to :func:`hypersingular_profile`.
     """
     if not (0.0 < r < 2.0):
         raise ValueError("hypersingular exponent requires 0 < r < 2")
@@ -244,7 +266,8 @@ def embedding_check(matrix, r, base, quad=None):
     """Measure the norm chain p=1 block norm >~ Bessel norm >~ p=inf block
     norm at smoothness r, the smoothness shift of bessel_convolve (order
     ``SHIFT_ORDER``, summability inf), and for 0 < r < 2 the
-    hypersingular/Bessel ratio."""
+    hypersingular/Bessel ratio.  ``quad`` is passed on to
+    :func:`hypersingular_norm`."""
     if matrix.is_zero():
         raise ValueError("embedding check undefined for the zero matrix")
     b1 = besov_norm_solid_lp(matrix, base, r, 1.0)
@@ -273,10 +296,8 @@ def embedding_check(matrix, r, base, quad=None):
 
 def write_multiplier_csv(quad, offsets, path):
     """Dump the mu_eps(m) table as (offset components..., eps, re, im)."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim == 1:
-        offsets = offsets.reshape(-1, 1)
-    table = quad.multipliers(offsets)
+    table = quad.multipliers(offsets)  # refuses malformed offsets
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(len(table), quad.dim)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

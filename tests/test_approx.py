@@ -7,7 +7,14 @@ import oddkit
 from oddkit import LatticeMatrix
 from oddkit.approx import approx_errors
 
-from conftest import offset_grid, random_matrix, single_diagonal
+from conftest import (
+    dense_cpr,
+    dense_jaffard,
+    dense_schur,
+    offset_grid,
+    random_matrix,
+    single_diagonal,
+)
 
 
 def geometric_matrix(window):
@@ -61,6 +68,25 @@ def test_approx_error_op_and_callable_match_dense_tail(dim, window):
         assert math.isclose(
             oddkit.approx_error(a, n, _entry_sum), np.abs(tail).sum(), rel_tol=1e-13, abs_tol=0.0
         )
+
+
+@pytest.mark.parametrize("dim,window", [(1, 5), (2, 2)])
+def test_approx_error_solid_bases_match_dense_tail(dim, window):
+    a = random_matrix(7 + dim, window, dim=dim, density=0.8)
+    dense = a.to_dense()
+    diff = offset_grid(dim, window)
+    sup = np.abs(diff).max(axis=-1)
+    oracles = {
+        "jaffard:r=1": lambda t: dense_jaffard(t, diff, 1.0),
+        "schur:p=1,r=0": lambda t: dense_schur(t, diff, 1.0, 0.0),
+        "schur:p=2,r=1": lambda t: dense_schur(t, diff, 2.0, 1.0),
+        "cpr:p=2,r=1": lambda t: dense_cpr(LatticeMatrix.from_dense(t, dim, window), 2.0, 1.0),
+    }
+    for n in range(2 * window + 2):
+        tail = np.where(sup >= n, dense, 0.0)
+        for base, oracle in oracles.items():
+            got = oddkit.approx_error(a, n, base)
+            assert math.isclose(got, oracle(tail), rel_tol=1e-12, abs_tol=0.0), (base, n)
 
 
 def test_approx_errors_nonincreasing_and_vanishing():

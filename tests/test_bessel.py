@@ -120,9 +120,11 @@ def test_multiplier_symmetries():
     assert (np.diff(np.abs(table[1])) > 0).all()
 
 
-def test_multipliers_2d_memory():
+def test_multipliers_2d_memory(monkeypatch):
     # the angular average is J0 in closed form: a d=2 row allocates
-    # O(panels x nodes), with no angular axis
+    # O(panels x nodes), with no angular axis; a fresh row table makes the
+    # traced call compute its row instead of reading a shared one
+    monkeypatch.setattr(HypersingularQuadrature, "_ROWS", {})
     q = HypersingularQuadrature(0.5, 2)
     q.multipliers([[1, 0]])  # imports scipy.special outside the trace
     tracemalloc.start()
@@ -132,6 +134,54 @@ def test_multipliers_2d_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _count_rows(monkeypatch):
+    calls = []
+    original = HypersingularQuadrature._mu_row
+
+    def counting(self, freq):
+        calls.append(freq)
+        return original(self, freq)
+
+    monkeypatch.setattr(HypersingularQuadrature, "_ROWS", {})
+    monkeypatch.setattr(HypersingularQuadrature, "_mu_row", counting)
+    return calls
+
+
+def test_rows_shared_across_quadratures(monkeypatch):
+    calls = _count_rows(monkeypatch)
+    offs = oddkit.generate(oddkit.DecayModel("phase", 2.5, seed=1), 6, dim=2).offset_array()
+    first = HypersingularQuadrature(0.5, 2).multipliers(offs)
+    # one row per distinct |m|^2, not per offset
+    assert len(calls) == len(np.unique((offs**2).sum(axis=1))) < len(offs)
+    del calls[:]
+    second = HypersingularQuadrature(0.5, 2).multipliers(offs)
+    assert calls == []
+    assert first.tobytes() == second.tobytes()
+
+
+def test_row_keys_do_not_collide(monkeypatch):
+    monkeypatch.setattr(HypersingularQuadrature, "_ROWS", {})
+    rows = [
+        HypersingularQuadrature(r, dim).multipliers([[3, 0][:dim]])[0]
+        for r, dim in ((0.5, 1), (0.5, 2), (0.75, 1))
+    ]
+    for i in range(3):
+        for j in range(i):
+            assert not np.allclose(rows[i], rows[j])
+    # the same |m|^2 = 9 read after the others still gives its own row
+    again = HypersingularQuadrature(0.5, 1).multipliers([[-3]])[0]
+    assert again.tobytes() == rows[0].tobytes()
+
+
+def test_returned_table_is_a_copy():
+    q = HypersingularQuadrature(0.5, 1)
+    table = q.multipliers([[2], [-2]])
+    want = table.copy()
+    table[:] = 7.0
+    assert q.multipliers([[2], [-2]]).tobytes() == want.tobytes()
+    assert all(not row.flags.writeable for row in HypersingularQuadrature._ROWS.values())
 
 
 def test_quadrature_failure_raises(monkeypatch):

@@ -7,6 +7,7 @@ removed or another one answers first.  Matrix and config files go through
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ LIBRARY = [
          A1, 0.5, "jaffard:r=0", quad=oddkit.HypersingularQuadrature(1.0, 1)
      ),
      ValueError, "does not match"),
+    ("multipliers non-integral offset",
+     lambda: oddkit.HypersingularQuadrature(0.5, 1).multipliers([[1.5]]),
+     ValueError, "must be integers"),
+    ("multipliers nan offset",
+     lambda: oddkit.HypersingularQuadrature(0.5, 1).multipliers([[np.nan]]),
+     ValueError, "must be integers"),
+    ("multipliers complex offset",
+     lambda: oddkit.HypersingularQuadrature(0.5, 1).multipliers([[1 + 2j]]),
+     ValueError, "must be integers"),
+    ("multipliers offset beyond 2^31",
+     lambda: oddkit.HypersingularQuadrature(0.5, 1).multipliers([[2**40]]),
+     ValueError, "must be integers"),
+    ("multipliers d=2 offset at d=1",
+     lambda: oddkit.HypersingularQuadrature(0.5, 1).multipliers([[3, 4]]),
+     ValueError, r"must have shape \(M, 1\)"),
+    ("multipliers d=1 offset at d=2",
+     lambda: oddkit.HypersingularQuadrature(0.5, 2).multipliers([[3]]),
+     ValueError, r"must have shape \(M, 2\)"),
+    ("multiplier csv non-integral offset",
+     lambda: oddkit.bessel.write_multiplier_csv(
+         oddkit.HypersingularQuadrature(0.5, 1), [[1.5]], os.devnull
+     ),
+     ValueError, "must be integers"),
     ("run_suites on no matrices", lambda: V.run_suites(count=0),
      ValueError, "non-empty corpus"),
 ]
