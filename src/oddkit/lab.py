@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import smoothness as _smoothness
-from .lattice import LatticeMatrix, _as_bandwidth, _drop_zero, _offset_table
+from .lattice import LatticeMatrix, _as_bandwidth, _blocks, _drop_zero, _offset_table
 from .norms import _dense_singular_extremes, _real_if_exact, op_norm_l2
 
 __all__ = [
@@ -85,7 +85,9 @@ def generate(model, window, dim=1, band=None):
 
     ``band`` caps the populated offsets at |m|_inf <= band (default: the
     full window, band = 2W).  Same model and geometry always reproduce the
-    same matrix bit for bit.
+    same matrix bit for bit.  The buffer is filled one block of diagonals
+    at a time, so its temporaries stay under the block budget of
+    ``lattice``.
     """
     dim, window = int(dim), int(window)
     if dim not in (1, 2):
@@ -100,15 +102,23 @@ def generate(model, window, dim=1, band=None):
     offs, lens = _offset_table(dim, window, band)
     # scalar Python powers: numpy's ** differs from them in the last bit
     env = [(1.0 + math.sqrt(sum(m * m for m in off))) ** -model.exponent for off in offs.tolist()]
-    env = np.repeat(model.amplitude * np.array(env), lens)
-    # one draw in buffer order is the stream of one draw per diagonal
+    env = model.amplitude * np.array(env)
+    buf = np.empty(int(lens.sum()), dtype=np.complex128)
+    # draws block by block in buffer order are the stream of one draw for
+    # the whole buffer, and that of one draw per diagonal
     rng = np.random.default_rng(model.seed)
-    if model.kind == "det":
-        buf = env.astype(np.complex128)
-    elif model.kind == "phase":
-        buf = env * np.exp(2j * np.pi * rng.random(env.size))
-    else:
-        buf = (env * rng.random(env.size)).astype(np.complex128)
+    at = 0
+    for lo, hi in _blocks((2 * window + 1) ** dim, lens.size):
+        part = np.repeat(env[lo:hi], lens[lo:hi])
+        out = buf[at : at + part.size]
+        at += part.size
+        if model.kind == "det":
+            out[:] = part
+        elif model.kind == "phase":
+            np.exp(2j * np.pi * rng.random(part.size), out=out)
+            out *= part
+        else:
+            np.multiply(part, rng.random(part.size), out=out)
     return LatticeMatrix._raw(dim, window, *_drop_zero(offs, buf, lens))
 
 

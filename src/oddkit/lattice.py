@@ -15,10 +15,20 @@ All stored diagonals share one packed, read-only complex128 buffer: an
 (M, d) offset table in lexicographic order, and for each diagonal its start
 index and length in the buffer, its rows flattened in C order.  A multiplier
 on the diagonals is then one vector operation on the buffer (``buf *
-np.repeat(f, lengths)``), a per-diagonal reduction is one ``reduceat`` over
-the start indices, the dense row and column of every entry come in
-O(stored entries), and the dense window matrix is one scatter (a flat map
-cached per (d, W) up to 2^20 dense entries).  Only this module reads the
+np.repeat(f, lengths)``), a per-diagonal reduction is a ``reduceat`` over
+the start indices, and the dense row and column of every entry come in
+O(stored entries).  The dense window matrix is one scatter through a flat
+map cached per (d, W) up to 2^20 dense entries.
+
+Six passes walk the buffer in blocks of consecutive diagonals
+(:meth:`LatticeMatrix.diagonal_blocks`), each of at most ``_BLOCK_BYTES //
+(8 n_rows)`` diagonals: the dense matrix past the cached layout, the
+envelope and the per-diagonal power sums here, the Schur line sums and the
+dense op-norm operator of ``norms``, and the buffer that ``lab.generate``
+fills.  No diagonal is longer than n_rows, so the float64 temporaries of a
+block stay under the one byte budget ``_BLOCK_BYTES`` (4 MB) however large
+the window.  A window whose diagonals all fit in one block is its own one
+block and takes the whole buffer at once.  Only this module reads the
 layout; the rest of the package goes through :class:`LatticeMatrix`.
 
 Lattice indices are plain tuples of ints; offsets may be given as bare ints
@@ -117,6 +127,21 @@ def _coordinates(window, offs, lens):
 _CACHED_LAYOUT_ENTRIES = 2**20
 
 
+# Bytes of the float64 temporaries of one block of diagonals, and of one
+# stack of multiplier products in norms: the one budget of every pass that
+# walks a buffer or a stack in pieces.
+_BLOCK_BYTES = 2**22
+
+
+def _blocks(n_rows, count):
+    """``(start, stop)`` of the runs of consecutive diagonals, out of
+    ``count``, that make one block each: at most ``_BLOCK_BYTES // (8
+    n_rows)`` diagonals, whose entries then take at most ``_BLOCK_BYTES``
+    as float64.  Diagonals that all fit make the one run (0, count)."""
+    step = max(1, _BLOCK_BYTES // (8 * n_rows))
+    return [(i, min(i + step, count)) for i in range(0, max(count, 1), step)]
+
+
 def _small_layout(dim, window):
     """The cached full layout of a window of at most _CACHED_LAYOUT_ENTRIES
     dense entries, None for a larger window."""
@@ -156,14 +181,6 @@ def _flat_index(n, rows, cols):
     flat *= n
     flat += cols
     return flat
-
-
-def _scatter(n, flat, values):
-    """The n x n matrix, in the dtype of ``values``, holding ``values`` at
-    the flat positions ``flat`` and zero elsewhere."""
-    dense = np.zeros(n * n, dtype=values.dtype)
-    dense[flat] = values
-    return dense.reshape(n, n)
 
 
 class LatticeMatrix:
@@ -346,10 +363,14 @@ class LatticeMatrix:
         """
         if rows is None and self._env is not None:
             return self._offs, self._env
-        mags = np.abs(self._buf)
-        if rows is not None:
-            mags[~np.asarray(rows)[self.coordinates()[0]]] = -np.inf
-        env = np.maximum.reduceat(mags, self._starts) if mags.size else mags
+
+        def mags(part):
+            out = np.abs(part._buf)
+            if rows is not None:
+                out[~np.asarray(rows)[part.coordinates()[0]]] = -np.inf
+            return out
+
+        env = self._reduce_blocks(np.maximum, mags)
         if rows is None:
             env.setflags(write=False)
             object.__setattr__(self, "_env", env)
@@ -357,9 +378,15 @@ class LatticeMatrix:
 
     def diagonal_power_sums(self, p):
         """Per-diagonal sum of |entries|^p, aligned with :meth:`offset_array`."""
-        if self.is_zero():
-            return np.zeros(0)
-        return np.add.reduceat(np.abs(self._buf) ** p, self._starts)
+        return self._reduce_blocks(np.add, lambda part: np.abs(part._buf) ** p)
+
+    def _reduce_blocks(self, ufunc, entries):
+        """``ufunc.reduceat`` over every stored diagonal of ``entries(part)``,
+        the per-entry values of each part of :meth:`diagonal_blocks`: one
+        number per diagonal, aligned with :meth:`offset_array`."""
+        return np.concatenate(
+            [ufunc.reduceat(entries(part), part._starts) for _, part in self.diagonal_blocks()]
+        )
 
     def coordinates(self):
         """``(rows, cols, values)``: the :meth:`to_dense` row and column
@@ -382,20 +409,38 @@ class LatticeMatrix:
         buf = self._buf[at : at + int(lens.sum())]
         return LatticeMatrix._raw(self.dim, self.window, self._offs[start:stop], buf, lens)
 
-    def _dense_index(self):
-        """Index of every buffer entry in the flattened dense matrix."""
-        layout = _small_layout(self.dim, self.window)
-        if layout is None:
-            rows, cols, _ = self.coordinates()  # no window-sized map
-            return _flat_index(self.n_rows, rows, cols)
-        full_offs, full_starts, _, flat = layout
-        if self._offs.shape[0] == full_offs.shape[0]:
-            return flat
-        at = full_starts[_keys(self.window, self._offs)]
-        return flat[_ranges(at, self._lens)]
+    def diagonal_blocks(self):
+        """``(start, part)`` for each block of consecutive stored diagonals:
+        ``part`` is :meth:`diagonal_slice` (start, stop), a view holding at
+        most ``_BLOCK_BYTES // (8 n_rows)`` diagonals.  A matrix whose
+        diagonals all fit is its own one part."""
+        count = self._offs.shape[0]
+        return [
+            (start, self if stop - start == count else self.diagonal_slice(start, stop))
+            for start, stop in _blocks(self.n_rows, count)
+        ]
 
     def to_dense(self):
-        return _scatter(self.n_rows, self._dense_index(), self._buf)
+        return self._dense(np.complex128)
+
+    def _dense(self, dtype):
+        """The dense window matrix in ``dtype``, float64 taking the real
+        parts: one scatter through the cached layout, else one per part of
+        :meth:`diagonal_blocks` into the preallocated section."""
+        n = self.n_rows
+        dense = np.zeros(n * n, dtype=dtype)
+        real = dense.dtype != self._buf.dtype
+        layout = _small_layout(self.dim, self.window)
+        if layout is not None:
+            full_offs, full_starts, _, flat = layout
+            if self._offs.shape[0] < full_offs.shape[0]:
+                flat = flat[_ranges(full_starts[_keys(self.window, self._offs)], self._lens)]
+            dense[flat] = self._buf.real if real else self._buf
+            return dense.reshape(n, n)
+        for _, part in self.diagonal_blocks():
+            rows, cols, vals = part.coordinates()  # no window-sized map
+            dense[_flat_index(n, rows, cols)] = vals.real if real else vals
+        return dense.reshape(n, n)
 
     # -- algebra --------------------------------------------------------------
 

@@ -44,12 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeMatrix, _flat_index, _scatter
+from . import lattice
+from .lattice import LatticeMatrix
 
-OP_TOL = 1e-10  # ARPACK relative tolerance of op_norm_l2 past 2048 rows
+# tol of op_norm_l2's svds past 2048 rows; svds hands ARPACK tol**2, so
+# ARPACK iterates to rounding, not to this relative tolerance
+OP_TOL = 1e-10
 GRAM_GATE = 1e-2  # lambda_min / lambda_max of A*A from which s_min = sqrt(lambda_min) (kappa <= 10)
 _GRAM_SLAB = 128  # rows of A*A formed per product
-_LINE_TABLE_BYTES = 2**22  # bytes of one (diagonals x lines) table of _line_sums
 
 __all__ = [
     "NormSpec",
@@ -200,18 +202,20 @@ def _product_operator(matrix):
     """The window as the operand of the iterative op-norm products, in the
     section's own arithmetic (float64 when its imaginary part is all zero)
     and storage: the dense matrix when at least half of the entries are
-    stored (BLAS gemv), else a COO array on
+    stored (BLAS gemv), scattered block by block as in
+    :meth:`LatticeMatrix.to_dense`, else a COO array on
     :meth:`LatticeMatrix.coordinates` (O(stored entries))."""
     n = matrix.n_rows
-    rows, cols, vals = matrix.coordinates()
-    if not vals.imag.any():
-        vals = vals.real  # a strided view: no float64 copy of the buffer
-    if 2 * vals.size >= n * n:
-        return _scatter(n, _flat_index(n, rows, cols), vals)
+    buf = matrix._buf
+    dtype = np.complex128 if buf.imag.any() else np.float64
+    if 2 * buf.size >= n * n:
+        return matrix._dense(dtype)
     from scipy.sparse import coo_array
 
+    rows, cols, vals = matrix.coordinates()
     # a sparse product would copy strided data on every call
-    return coo_array((np.ascontiguousarray(vals), (rows, cols)), shape=(n, n))
+    vals = np.ascontiguousarray(vals if dtype == np.complex128 else vals.real)
+    return coo_array((vals, (rows, cols)), shape=(n, n))
 
 
 def op_norm_l2(matrix):
@@ -221,12 +225,14 @@ def op_norm_l2(matrix):
     :func:`_dense_eigenvalues`, of the section or of its Gram matrix, and
     never the SVD.  Larger ones run ARPACK (svds, k=1), or
     power iteration on A*A where ARPACK fails, over
-    :func:`_product_operator`, built per call and dropped on return; ARPACK
-    stops at the relative tolerance ``OP_TOL``.  A section whose imaginary
-    part is all zero runs real ARPACK and real start vectors.  A section with
-    at least rows^2 / 2 stored entries multiplies as the dense matrix in its
-    own dtype (at most twice the buffer's bytes), any other one as a COO
-    array in O(stored entries) memory.
+    :func:`_product_operator`, built per call and dropped on return.  svds
+    takes ``OP_TOL`` but hands ARPACK its square (1e-20), so ARPACK iterates
+    until rounding stops it, not until the relative tolerance ``OP_TOL``.
+    A section whose imaginary part is all zero runs real ARPACK and real
+    start vectors.  A section with at least rows^2 / 2 stored entries
+    multiplies as the dense matrix in its own dtype (at most twice the
+    buffer's bytes), any other one as a COO array in O(stored entries)
+    memory.
     """
     if matrix.is_zero():
         return 0.0
@@ -425,32 +431,33 @@ def _line_sums(matrix, spec, factors):
     of ``spec`` (Schur at p < inf): the p-th powers of the Schur norms of
     the F . A, as a length-K array.
 
-    One row adds each entry into its row and its column (``bincount`` over
-    :meth:`LatticeMatrix.coordinates`).  More rows take, per block of
-    consecutive diagonals, a (diagonals x lines) table of |A|^p, whose
-    product with the block's columns of (w |F|)^p gives the line sums of
-    every row at once; a block's table stays under ``_LINE_TABLE_BYTES``.
+    The sums run over the parts of :meth:`LatticeMatrix.diagonal_blocks`.
+    One row adds each entry of a part, times its weight, into its row and
+    its column (``bincount`` over :meth:`LatticeMatrix.coordinates`).  More
+    rows take a part's (diagonals x lines) table of |A|^p, whose product
+    with the part's columns of (w |F|)^p gives the line sums of every row at
+    once.  Either way a part's temporaries stay under the block budget.
     """
     offs = matrix.offset_array()
     g = (_diagonal_weights(offs, spec.r, spec.weight) * np.abs(factors)) ** spec.p
     n = matrix.n_rows
-    if g.shape[0] == 1:
-        rows, cols, vals = matrix.coordinates()
-        powed = np.abs(vals) ** spec.p * np.repeat(g[0], matrix.diagonal_lengths())
-        row_max = np.bincount(rows, powed, minlength=n).max()
-        return np.array([max(row_max, np.bincount(cols, powed, minlength=n).max())])
     sums = np.zeros((2, g.shape[0], n))
-    step = max(1, _LINE_TABLE_BYTES // (8 * n))
-    for start in range(0, offs.shape[0], step):
-        part = matrix.diagonal_slice(start, start + step)
+    for start, part in matrix.diagonal_blocks():
         rows, cols, vals = part.coordinates()
-        width = part.offset_array().shape[0]
-        at = np.repeat(np.arange(0, width * n, n), part.diagonal_lengths())
-        powed = np.abs(vals) ** spec.p
+        lens = part.diagonal_lengths()
+        cols_g = g[:, start : start + lens.size]
+        powed = np.abs(vals)
+        powed **= spec.p
+        if g.shape[0] == 1:
+            powed *= np.repeat(cols_g[0], lens)
+            for line, out in zip((rows, cols), sums):
+                out[0] += np.bincount(line, powed, minlength=n)
+            continue
+        at = np.repeat(np.arange(0, lens.size * n, n), lens)
         for line, out in zip((rows, cols), sums):
-            table = np.zeros(width * n)
+            table = np.zeros(lens.size * n)
             table[at + line] = powed
-            out += g[:, start : start + width] @ table.reshape(width, n)
+            out += cols_g @ table.reshape(lens.size, n)
     return sums.max(axis=(0, 2))
 
 
@@ -466,9 +473,9 @@ def _stack_values(matrix, spec, factors, outer=None):
     column max, the same bits (rounding is monotone, so the max over rows
     commutes with the max over diagonals) in O(M) instead of O(K M) per g.
     Every other base takes the products g F_k of as many rows g at a time as
-    keep them under ``_LINE_TABLE_BYTES``: Schur at p < inf as one
-    :func:`_line_sums` stack, ``op`` and callables as one scaled matrix per
-    (g, F_k), the tests' oracle."""
+    keep them under the block budget ``lattice._BLOCK_BYTES``: Schur at
+    p < inf as one :func:`_line_sums` stack, ``op`` and callables as one
+    scaled matrix per (g, F_k), the tests' oracle."""
     spec = _coerce_spec(spec)
     if _diagonal_separable(spec):
         offs, values = _diagonal_values(matrix, spec)
@@ -485,7 +492,7 @@ def _stack_values(matrix, spec, factors, outer=None):
     k, m = np.shape(factors)
     lead = np.shape(outer)[:-1]
     rows = np.reshape(outer, (math.prod(lead), m))
-    step = max(1, _LINE_TABLE_BYTES // (8 * max(1, k * m)))
+    step = max(1, lattice._BLOCK_BYTES // (8 * max(1, k * m)))
     out = np.zeros(len(rows))
     for i in range(0, len(rows), step):
         chunk = rows[i : i + step]

@@ -80,6 +80,42 @@ def dense_derivation(dense, diff, alpha):
     return dense * factor
 
 
+def dense_envelope(dense, diff, offsets, rows=None):
+    """Per-offset sup of |entries| of the dense matrix over the entries
+    whose row-minus-column offset is that offset, restricted to the rows of
+    the boolean mask ``rows`` when given (-inf where none is left)."""
+    mags = np.abs(dense)
+    if rows is not None:
+        mags[~np.asarray(rows)] = -np.inf
+    return np.array([mags[(diff == off).all(axis=-1)].max() for off in offsets])
+
+
+def whole_buffer_generate(model, window, dim=1, band=None):
+    """``lab.generate`` with one envelope and one draw for the whole buffer:
+    the expressions of a single pass over every diagonal in sorted offset
+    order, the oracle of the block-by-block fill."""
+    band = 2 * window if band is None else band
+    axis = np.arange(-band, band + 1)
+    offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    shapes = [tuple(2 * window + 1 - abs(m) for m in off) for off in offs.tolist()]
+    lens = [math.prod(shape) for shape in shapes]
+    env = [(1.0 + math.sqrt(sum(m * m for m in off))) ** -model.exponent for off in offs.tolist()]
+    env = np.repeat(model.amplitude * np.array(env), lens)
+    rng = np.random.default_rng(model.seed)
+    if model.kind == "det":
+        buf = env.astype(np.complex128)
+    elif model.kind == "phase":
+        buf = env * np.exp(2j * np.pi * rng.random(env.size))
+    else:
+        buf = (env * rng.random(env.size)).astype(np.complex128)
+    stops = np.cumsum(lens).tolist()
+    diags = {
+        tuple(off): buf[stop - size : stop].reshape(shape)
+        for off, shape, size, stop in zip(offs.tolist(), shapes, lens, stops)
+    }
+    return LatticeMatrix(dim, window, diags)
+
+
 def random_matrix(seed, window, dim=1, density=1.0, scale=1.0):
     """Small dense-random test matrix with every diagonal populated."""
     rng = np.random.default_rng(seed)

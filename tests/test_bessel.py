@@ -120,6 +120,7 @@ def test_multiplier_symmetries():
     assert (np.diff(np.abs(table[1])) > 0).all()
 
 
+@pytest.mark.memory
 def test_multipliers_2d_memory(monkeypatch):
     # the angular average is J0 in closed form: a d=2 row allocates
     # O(panels x nodes), with no angular axis; a fresh row table makes the

@@ -9,7 +9,7 @@ from oddkit import DecayModel, LatticeMatrix, SingularSectionError, lab
 from oddkit.lab import _interior_envelope, corpus, report_csv_rows
 from oddkit.norms import _dense_singular_extremes
 
-from conftest import offset_grid, random_matrix, single_diagonal
+from conftest import offset_grid, random_matrix, single_diagonal, whole_buffer_generate
 
 
 def test_model_validation_and_aliases():
@@ -84,6 +84,39 @@ def test_generate_matches_per_diagonal_reference(kind, dim, window, band):
     want = _generate_by_diagonal(model, window, dim, 2 * window if band is None else band)
     assert got.offsets() == want.offsets()
     assert got == want
+
+
+@pytest.mark.parametrize("kind", ["det", "phase", "mag"])
+@pytest.mark.parametrize("dim,window", [(1, 9), (2, 4)])
+@pytest.mark.parametrize("band", [None, 3])
+@pytest.mark.parametrize("width", [1, 2])
+def test_generate_blocks_match_whole_buffer(monkeypatch, kind, dim, window, band, width):
+    # blocks of one or two diagonals, each with its own draw, give the bits
+    # of one draw for the whole buffer
+    model = DecayModel(kind, 2.7, amplitude=1.3, seed=2**40 + 11)
+    want = whole_buffer_generate(model, window, dim=dim, band=band)
+    assert oddkit.generate(model, window, dim=dim, band=band) == want
+    monkeypatch.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * (2 * window + 1) ** dim * width)
+    assert oddkit.generate(model, window, dim=dim, band=band) == want
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize("kind", ["det", "phase", "mag"])
+def test_generate_memory_d2(kind):
+    import tracemalloc
+
+    # d=2 W=24: 5.76M entries, an 88 MB buffer.  Filled block by block, the
+    # temporaries stay within a few block budgets (4 MB) above the buffer;
+    # one pass over the whole buffer peaked at 138 (det), 220 (phase) and
+    # 176 MB (mag).
+    tracemalloc.start()
+    try:
+        a = oddkit.generate(DecayModel(kind, 2.5, seed=7), 24, dim=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffer = 16 * int(a.diagonal_lengths().sum())
+    assert peak <= buffer + 3 * oddkit.lattice._BLOCK_BYTES, (peak - buffer) / 2**20
 
 
 def test_generate_determinism_and_band():

@@ -10,6 +10,7 @@ from oddkit import LatticeMatrix
 from conftest import (
     dense_derivation,
     dense_difference,
+    dense_envelope,
     dense_modulate,
     offset_grid,
     random_matrix,
@@ -306,6 +307,65 @@ def test_coordinates_and_dense_on_windows_past_the_cached_layout():
             assert np.count_nonzero(dense) == vals.size
             assert np.array_equal(m.to_dense(), dense)
             assert LatticeMatrix.from_dense(dense, dim=dim, window=w) == m
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_block_walks_match_dense_oracles(monkeypatch, width):
+    # blocks of one or two diagonals, and no cached layout, so every pass
+    # walks the buffer part by part: the dense matrix, the envelope with and
+    # without a row mask and the power sums keep the bits of the oracles
+    cases = [random_matrix(210 + dim, w, dim=dim, density=0.7) for dim, w in ((1, 4), (2, 2))]
+    cases.append(cases[1].select(cases[1].offset_array().sum(axis=1) % 3 != 1))
+    cases.append(LatticeMatrix.zeros(2, 2))
+    whole = [(m.to_dense(), m.diagonal_power_sums(1.5)) for m in cases]
+    monkeypatch.setattr(oddkit.lattice, "_CACHED_LAYOUT_ENTRIES", 0)
+    for m, (dense_want, sums_want) in zip(cases, whole):
+        monkeypatch.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * m.n_rows * width)
+        parts = m.diagonal_blocks()
+        assert len(parts) == max(1, -(-m.offset_array().shape[0] // width))
+        dense = m.to_dense()
+        assert np.array_equal(dense, _scattered_dense(m)) and np.array_equal(dense, dense_want)
+        diff = offset_grid(m.dim, m.window)
+        offs = m.offset_array()
+        rows = np.arange(m.n_rows) % 3 == 0
+        assert np.array_equal(m.envelope()[1], dense_envelope(dense, diff, offs))
+        assert np.array_equal(m.envelope(rows=rows)[1], dense_envelope(dense, diff, offs, rows))
+        assert np.array_equal(m.diagonal_power_sums(1.5), sums_want)
+
+
+@pytest.mark.memory
+def test_to_dense_memory_past_the_cached_layout_d2():
+    import tracemalloc
+
+    # d=2 W=24: 2401 rows, past the cached layout.  The scatter runs block by
+    # block into the preallocated section, so the call holds the 88 MB
+    # section and one block's coordinates; the coordinates of the whole
+    # buffer took 22 MB more.
+    a = oddkit.generate(oddkit.DecayModel("mag", 2.5, seed=7), 24, dim=2)
+    tracemalloc.start()
+    try:
+        dense = a.to_dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= dense.nbytes + 2 * oddkit.lattice._BLOCK_BYTES, (peak - dense.nbytes) / 2**20
+
+
+@pytest.mark.memory
+def test_first_envelope_memory_d2():
+    import tracemalloc
+
+    # |entries| of one block at a time: the first envelope of an 88 MB
+    # buffer stays within the block budget, where |entries| of the whole
+    # buffer took 44 MB
+    a = oddkit.generate(oddkit.DecayModel("mag", 2.5, seed=7), 24, dim=2)
+    tracemalloc.start()
+    try:
+        a.envelope()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * oddkit.lattice._BLOCK_BYTES, peak / 2**20
 
 
 def test_json_round_trip_bit_exact(tmp_path):

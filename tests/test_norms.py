@@ -21,6 +21,7 @@ from conftest import (
     coo_operator,
     dense_cpr,
     dense_jaffard,
+    dense_poly_weight,
     dense_schur,
     offset_grid,
     random_matrix,
@@ -516,7 +517,7 @@ def test_stack_values_outer_rows_schur_chunks(monkeypatch):
     for text in ("schur:p=1,r=0", "schur:p=1.5,r=1"):
         spec = oddkit.parse_norm_spec(text)
         whole = _stack_values(a, spec, inner, outer)
-        monkeypatch.setattr(norms, "_LINE_TABLE_BYTES", 8 * a.n_rows * 5)
+        monkeypatch.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * a.n_rows * 5)
         assert np.allclose(_stack_values(a, spec, inner, outer), whole, rtol=1e-13, atol=0.0)
         monkeypatch.undo()
 
@@ -546,21 +547,39 @@ def test_line_sums_match_dense_weighted_sums():
 
 
 def test_line_sums_blocks_of_diagonals(monkeypatch):
-    # tables of a few diagonals at a time give the sums of one table
+    # one block, and blocks of one, two or five diagonals, give the dense
+    # line sums of one and of 64 multiplier rows: the bincount of one row
+    # and the tables of more rows alike
     a = random_matrix(192, 3, dim=2, density=0.8)
     spec = oddkit.parse_norm_spec("schur:p=1.5,r=1")
-    stack = _line_sum_stacks(a.offset_array().shape[0])[2]
-    whole = _line_sums(a, spec, stack)
-    monkeypatch.setattr(norms, "_LINE_TABLE_BYTES", 8 * a.n_rows * 5)
-    assert np.allclose(_line_sums(a, spec, stack), whole, rtol=1e-13, atol=0.0)
+    offs = a.offset_array()
+    diff = offset_grid(2, 3)
+    at = np.full(diff.shape[:2], offs.shape[0])  # past the stored offsets: factor 0
+    for i, off in enumerate(offs):
+        at[(diff == off).all(axis=-1)] = i
+    big = _line_sum_stacks(offs.shape[0])[2]
+    mags = np.abs(a.to_dense()) * dense_poly_weight(diff, spec.r)
+    for k in (1, 64):
+        stack = big[:k]
+        factor = np.abs(np.concatenate([stack, np.zeros((k, 1))], axis=1))[:, at]
+        powed = (mags * factor) ** spec.p
+        want = np.maximum(powed.sum(axis=2).max(axis=1), powed.sum(axis=1).max(axis=1))
+        for width in (None, 1, 2, 5):
+            if width is not None:
+                monkeypatch.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * a.n_rows * width)
+            got = _line_sums(a, spec, stack)
+            assert got.shape == (k,)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0), (k, width)
+        monkeypatch.undo()
 
 
+@pytest.mark.memory
 def test_line_sums_memory_bounded_d2():
     import tracemalloc
 
     # d=2 W=16: 1089 lines and 4225 diagonals.  The whole (diagonals x
     # lines) table is 37 MB and the coordinates of every entry 9.5 MB; a
-    # block's table stays under _LINE_TABLE_BYTES (4 MB), and the stack and
+    # block's table stays under lattice._BLOCK_BYTES (4 MB), and the stack and
     # its weighted powers are 2.2 MB each.  This call peaks at 17.2 MB.
     a = oddkit.corpus(3, 16, count=1, dim=2)[0]
     stack = np.abs(np.random.default_rng(5).standard_normal((64, a.offset_array().shape[0])))
@@ -574,11 +593,14 @@ def test_line_sums_memory_bounded_d2():
     assert peak < 20 * 2**20
 
 
+@pytest.mark.memory
 def test_schur_norm_memory_d2():
     import tracemalloc
 
-    # one row sums per entry with bincount; at d=2 W=24 (5.8M stored
-    # entries) that peaks at 132.16 MB, and no change may raise it
+    # one row adds each block's weighted |a|^p with bincount; at d=2 W=24
+    # (5.8M stored entries, 44 blocks) the temporaries of one block stay
+    # within three block budgets (12 MB), where one pass over the whole
+    # buffer peaked at 132.16 MB
     a = oddkit.corpus(3, 24, count=1, dim=2)[0]
     tracemalloc.start()
     try:
@@ -586,7 +608,41 @@ def test_schur_norm_memory_d2():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 132.2 * 2**20
+    assert peak <= 3 * oddkit.lattice._BLOCK_BYTES, peak / 2**20
+
+
+def test_product_operator_blocks_match_dense(monkeypatch):
+    # blocks of one or two diagonals scatter the dense operator with the
+    # bits of the dense section, in float64 for a real section
+    for dim, w in ((1, 4), (2, 2)):
+        a = random_matrix(220 + dim, w, dim=dim, density=0.7)
+        real = LatticeMatrix.from_dense(a.to_dense().real, dim=dim)
+        monkeypatch.setattr(oddkit.lattice, "_CACHED_LAYOUT_ENTRIES", 0)
+        for width in (1, 2):
+            monkeypatch.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * a.n_rows * width)
+            for b, dtype in ((a, np.complex128), (real, np.float64)):
+                op = _product_operator(b)
+                assert type(op) is np.ndarray and op.dtype == dtype
+                assert np.array_equal(op, b.to_dense())
+        monkeypatch.undo()
+
+
+@pytest.mark.memory
+def test_product_operator_memory_d2():
+    import tracemalloc
+
+    # the dense operator of a full real d=2 W=24 section (2401 rows) is
+    # scattered block by block into the 44 MB float64 section; the
+    # coordinates of the whole buffer took 44 MB more
+    a = oddkit.generate(oddkit.DecayModel("mag", 2.5, seed=7), 24, dim=2)
+    tracemalloc.start()
+    try:
+        op = _product_operator(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.dtype == np.float64
+    assert peak <= op.nbytes + 2 * oddkit.lattice._BLOCK_BYTES, (peak - op.nbytes) / 2**20
 
 
 def test_grammar_round_trip():
@@ -811,6 +867,7 @@ def test_op_norm_arpack_tridiagonal_toeplitz_d1(monkeypatch):
     assert math.isclose(oddkit.op_norm_l2(m), want, rel_tol=1e-9)
 
 
+@pytest.mark.memory
 def test_banded_norms_stay_in_stored_entries():
     import tracemalloc
 

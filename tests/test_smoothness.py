@@ -508,6 +508,7 @@ def test_smoothness_parameters_refused():
             oddkit.reiteration_ratio(a, "jaffard:r=0", 0.5, r, p, grid=8)
 
 
+@pytest.mark.memory
 def test_reiteration_memory_bounded_d2():
     # the nested levels never form a (T, T, M) array: at d=2 W=2 on the
     # default grid that array alone is about 350 MB
@@ -522,6 +523,7 @@ def test_reiteration_memory_bounded_d2():
         assert peak < 64 * 2**20
 
 
+@pytest.mark.memory
 def test_besov_modulus_memory_bounded_d2():
     # the level sum holds one level's (T, M) multipliers at a time: at d=2
     # W=8 on the default grid each is 6.4 MB (T = 740 points, M = 1089
@@ -536,6 +538,7 @@ def test_besov_modulus_memory_bounded_d2():
     assert peak < 20 * 2**20
 
 
+@pytest.mark.memory
 def test_difference_factors_memory_bounded_d2():
     # the (T, M) factors (6.4 MB per level here) are formed in place: the
     # call peaks at 12.3 MB, and would reach 18.5 MB with two temporaries
