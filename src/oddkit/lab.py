@@ -119,7 +119,7 @@ def generate(model, window, dim=1, band=None):
             out *= part
         else:
             np.multiply(part, rng.random(part.size), out=out)
-    return LatticeMatrix._raw(dim, window, *_drop_zero(offs, buf, lens))
+    return LatticeMatrix._raw(dim, window, *_drop_zero((2 * window + 1) ** dim, offs, buf, lens))
 
 
 def corpus(seed, window, count=100, dim=1):

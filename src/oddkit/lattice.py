@@ -243,7 +243,7 @@ class LatticeMatrix:
             pos = int(np.argmin(finite))
             diag = int(np.searchsorted(np.cumsum(lens), pos, side="right"))
             raise ValueError(f"diagonal {tuple(offs[diag].tolist())}: non-finite entry")
-        self._init(dim, window, *_drop_zero(offs, buf, lens))
+        self._init(dim, window, *_drop_zero((2 * window + 1) ** dim, offs, buf, lens))
 
     def _init(self, dim, window, offs, buf, lens):
         for arr in (offs, buf, lens):
@@ -309,7 +309,7 @@ class LatticeMatrix:
         buf = dense.ravel()[flat].astype(np.complex128, copy=False)
         if not np.isfinite(buf).all():
             raise ValueError("dense matrix has non-finite entries")
-        return cls._raw(dim, window, *_drop_zero(offs, buf, lens))
+        return cls._raw(dim, window, *_drop_zero(n_rows, offs, buf, lens))
 
     # -- basic queries --------------------------------------------------------
 
@@ -481,7 +481,9 @@ class LatticeMatrix:
     def __add__(self, other):
         self._check_compatible(other)
         offs, lens, a, b = self._aligned(other)
-        return LatticeMatrix._raw(self.dim, self.window, *_drop_zero(offs, a + b, lens))
+        return LatticeMatrix._raw(
+            self.dim, self.window, *_drop_zero(self.n_rows, offs, a + b, lens)
+        )
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -493,7 +495,9 @@ class LatticeMatrix:
         if scalar == 0:
             return LatticeMatrix(self.dim, self.window)
         return LatticeMatrix._raw(
-            self.dim, self.window, *_drop_zero(self._offs, self._buf * scalar, self._lens)
+            self.dim,
+            self.window,
+            *_drop_zero(self.n_rows, self._offs, self._buf * scalar, self._lens),
         )
 
     __rmul__ = __mul__
@@ -568,11 +572,16 @@ class LatticeMatrix:
         )
 
 
-def _drop_zero(offs, buf, lens):
-    """The layout without its identically zero diagonals."""
+def _drop_zero(n_rows, offs, buf, lens):
+    """The layout without its identically zero diagonals, tested one block
+    of :func:`_blocks` at a time (no boolean the size of the buffer)."""
     if buf.size == 0:
         return offs, buf, lens
-    keep = np.logical_or.reduceat(buf != 0, np.cumsum(lens) - lens)
+    starts = np.cumsum(lens) - lens
+    keep = np.empty(lens.size, dtype=bool)
+    for lo, hi in _blocks(n_rows, lens.size):
+        at, stop = starts[lo], starts[hi - 1] + lens[hi - 1]
+        keep[lo:hi] = np.logical_or.reduceat(buf[at:stop] != 0, starts[lo:hi] - at)
     if keep.all():
         return offs, buf, lens
     return offs[keep], buf[np.repeat(keep, lens)], lens[keep]

@@ -47,8 +47,9 @@ import numpy as np
 from . import lattice
 from .lattice import LatticeMatrix
 
-# tol of op_norm_l2's svds past 2048 rows; svds hands ARPACK tol**2, so
-# ARPACK iterates to rounding, not to this relative tolerance
+# relative tolerance on sigma^2 of op_norm_l2 past 2048 rows: ARPACK on A*A
+# stops at it (svds squares its tol, so it is handed sqrt(OP_TOL)), and so
+# does the power-iteration fallback
 OP_TOL = 1e-10
 GRAM_GATE = 1e-2  # lambda_min / lambda_max of A*A from which s_min = sqrt(lambda_min) (kappa <= 10)
 _GRAM_SLAB = 128  # rows of A*A formed per product
@@ -225,9 +226,9 @@ def op_norm_l2(matrix):
     :func:`_dense_eigenvalues`, of the section or of its Gram matrix, and
     never the SVD.  Larger ones run ARPACK (svds, k=1), or
     power iteration on A*A where ARPACK fails, over
-    :func:`_product_operator`, built per call and dropped on return.  svds
-    takes ``OP_TOL`` but hands ARPACK its square (1e-20), so ARPACK iterates
-    until rounding stops it, not until the relative tolerance ``OP_TOL``.
+    :func:`_product_operator`, built per call and dropped on return.  Both
+    stop at the relative tolerance ``OP_TOL`` on sigma^2: svds hands ARPACK
+    the square of its tol, so it is given sqrt(OP_TOL).
     A section whose imaginary part is all zero runs real ARPACK and real
     start vectors.  A section with at least rows^2 / 2 stored entries
     multiplies as the dense matrix in its own dtype (at most twice the
@@ -253,7 +254,9 @@ def op_norm_l2(matrix):
     rng = np.random.default_rng(0x5EED)
     v0 = rng.standard_normal(n)
     try:
-        return float(svds(op, k=1, tol=OP_TOL, v0=v0, return_singular_vectors=False)[0])
+        return float(
+            svds(op, k=1, tol=math.sqrt(OP_TOL), v0=v0, return_singular_vectors=False)[0]
+        )
     except (ArpackNoConvergence, ArpackError):
         # ARPACK cannot restart on (near-)projection spectra; power iteration
         # on A*A with a Rayleigh residual stop handles exactly those
@@ -269,7 +272,7 @@ def op_norm_l2(matrix):
             w = _diag_matvec(a_t, _diag_matvec(a, v), conj=True)
             lam = float(np.real(np.vdot(v, w)))
             # |lam - lam_true| <= ||B v - lam v|| for Hermitian B = A*A
-            if np.linalg.norm(w - lam * v) <= 1e-9 * max(lam, 1e-300):
+            if np.linalg.norm(w - lam * v) <= OP_TOL * max(lam, 1e-300):
                 break
             s = np.linalg.norm(w)
             if s == 0.0:

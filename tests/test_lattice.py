@@ -333,6 +333,46 @@ def test_block_walks_match_dense_oracles(monkeypatch, width):
         assert np.array_equal(m.diagonal_power_sums(1.5), sums_want)
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_drop_zero_blocks_match_whole_buffer(monkeypatch, width):
+    # zero diagonals in several blocks of one or two diagonals, next to a
+    # diagonal that is zero but for one entry: the per-block reduction drops
+    # what a whole-buffer test drops, through the constructor, from_dense,
+    # sums and scalar multiples alike
+    for dim, w in ((1, 4), (2, 2)):
+        full = random_matrix(320 + dim, w, dim=dim)
+        offs, buf, lens = full._offs, full._buf.copy(), full._lens
+        starts = np.cumsum(lens) - lens
+        count = lens.size
+        zero = np.zeros(count, dtype=bool)
+        zero[[0, 2, 3, count // 2, count - 1]] = True
+        for i in np.flatnonzero(zero):
+            buf[starts[i] : starts[i] + lens[i]] = 0
+        buf[starts[1] + 1 : starts[1] + lens[1]] = 0  # one nonzero entry kept
+        keep = np.array([buf[s : s + n].any() for s, n in zip(starts, lens)])
+        assert np.array_equal(keep, ~zero)
+        diags = {tuple(o): buf[s : s + n] for o, s, n in zip(offs.tolist(), starts, lens)}
+        want = LatticeMatrix(dim, w, {o: d for o, d in diags.items() if d.any()})
+        monkeypatch.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * full.n_rows * width)
+        blocks = oddkit.lattice._blocks(full.n_rows, count)
+        stops = [hi for _, hi in blocks]
+        assert len({np.searchsorted(stops, i, side="right") for i in np.flatnonzero(zero)}) > 1
+        got_offs, got_buf, got_lens = oddkit.lattice._drop_zero(full.n_rows, offs, buf, lens)
+        assert np.array_equal(got_offs, offs[keep]) and np.array_equal(got_lens, lens[keep])
+        kept = [diags[tuple(o)] for o in offs[keep].tolist()]
+        assert np.array_equal(got_buf, np.concatenate(kept))
+        a = LatticeMatrix(dim, w, diags)
+        assert a == want and a.offsets() == want.offsets()
+        assert LatticeMatrix.from_dense(a.to_dense(), dim=dim) == want
+        # full - a is zero exactly on the diagonals a leaves as they were
+        changed = zero.copy()
+        changed[1] = True
+        assert np.array_equal((full - a).offset_array(), offs[changed])
+        assert (a * 2.0).offsets() == want.offsets()
+        # every diagonal zero: every block drops all of its diagonals
+        assert LatticeMatrix(dim, w, {o: 0 * d for o, d in diags.items()}).is_zero()
+
+
 @pytest.mark.memory
 def test_to_dense_memory_past_the_cached_layout_d2():
     import tracemalloc

@@ -760,6 +760,53 @@ def test_op_norm_real_section_falls_back_in_real_arithmetic(monkeypatch):
     assert len(seen) > 2 and set(seen) == {(np.dtype(np.float64),) * 2}
 
 
+@pytest.mark.parametrize(
+    "case,kind,dtype",
+    [
+        ("real dense", "ndarray", np.float64),
+        ("real coo", "coo_array", np.float64),
+        ("complex coo", "coo_array", np.complex128),
+    ],
+)
+def test_op_norm_arpack_stops_at_op_tol(monkeypatch, case, kind, dtype):
+    # 47^2 = 2209 rows: the ARPACK branch.  svds squares its tol, so it is
+    # handed sqrt(OP_TOL) and ARPACK stops at OP_TOL on sigma^2.  OP_TOL**2
+    # hands ARPACK 1e-20 and gives the same value in about twice the
+    # matvecs.  The ratio of the two counts depends on where ARPACK's
+    # restarts fall: 0.52 to 0.76 over the d=2 W=23 mag and phase sections
+    # tried, 0.52 and 0.55 on these.
+    import scipy.sparse.linalg
+
+    full = case == "real dense"
+    a = oddkit.generate(
+        oddkit.DecayModel("mag", 2.5, seed=1 if full else 3), 23, dim=2, band=None if full else 2
+    )
+    if case == "complex coo":
+        a = a * 1j
+    op = _product_operator(a)
+    assert type(op).__name__ == kind and op.dtype == dtype
+    svds, tols, counts = scipy.sparse.linalg.svds, [], []
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return svds(*args, **kwargs)
+
+    def counting(op, x, conj=False):
+        counts[-1] += 1
+        return _diag_matvec(op, x, conj)
+
+    monkeypatch.setattr("scipy.sparse.linalg.svds", recording)
+    monkeypatch.setattr("oddkit.norms._diag_matvec", counting)
+    values = []
+    for tol in (norms.OP_TOL, norms.OP_TOL**2):
+        monkeypatch.setattr(norms, "OP_TOL", tol)
+        counts.append(0)
+        values.append(oddkit.op_norm_l2(a))
+    assert [t * t for t in tols] == pytest.approx([1e-10, 1e-20], rel=1e-12, abs=0)
+    assert counts[0] <= 0.6 * counts[1], counts
+    assert math.isclose(values[0], values[1], rel_tol=1e-13)
+
+
 def test_op_norm_full_real_section_multiplies_dense():
     # 47^2 = 2209 rows, past the dense switch, every entry stored and real:
     # the products are float64 gemv on the dense section, and the rank-one
@@ -849,7 +896,7 @@ def test_op_norm_arpack_kronecker_sum_d2():
         {(0, 0): a, (1, 0): b, (0, 1): b, (-1, 0): np.conj(b), (0, -1): np.conj(b)},
     )
     want = a + 4 * abs(b) * math.cos(math.pi / 48)
-    assert math.isclose(oddkit.op_norm_l2(m), want, rel_tol=1e-9)
+    assert math.isclose(oddkit.op_norm_l2(m), want, rel_tol=1e-12)
 
 
 def test_op_norm_arpack_tridiagonal_toeplitz_d1(monkeypatch):
@@ -857,13 +904,13 @@ def test_op_norm_arpack_tridiagonal_toeplitz_d1(monkeypatch):
     # matrix with a on the diagonal and b, conj(b) beside it has the
     # eigenvalues a + 2|b| cos(pi j / 2050), so its norm is
     # |a| + 2|b| cos(pi / 2050).  The top of that spectrum is clustered
-    # (gaps of order 1/n^2) and ARPACK needs about 20k products at the
-    # default OP_TOL; 1e-4 takes 9k and still gives the closed form to
-    # about 1e-14 here.
+    # (gaps of order 1/n^2) and ARPACK needs 11143 matvecs at the default
+    # OP_TOL; 1e-8 takes 9103 and still gives the closed form to about
+    # 1e-14 here.
     a, b = 0.5, 1.0 - 1.0j
     m = _constant_diagonals(1, 1024, {(0,): a, (1,): b, (-1,): np.conj(b)})
     want = abs(a) + 2 * abs(b) * math.cos(math.pi / 2050)
-    monkeypatch.setattr(norms, "OP_TOL", 1e-4)
+    monkeypatch.setattr(norms, "OP_TOL", 1e-8)
     assert math.isclose(oddkit.op_norm_l2(m), want, rel_tol=1e-9)
 
 
