@@ -115,7 +115,11 @@ def generate(model, window, dim=1, band=None):
         if model.kind == "det":
             out[:] = part
         elif model.kind == "phase":
-            np.exp(2j * np.pi * rng.random(part.size), out=out)
+            # the exponent 2 pi i u built in the block itself: the bits of
+            # exp(2j * pi * u) without its complex128 temporary
+            out.real = 0.0
+            np.multiply(rng.random(part.size), 2 * np.pi, out=out.imag)
+            np.exp(out, out=out)
             out *= part
         else:
             np.multiply(part, rng.random(part.size), out=out)

@@ -397,6 +397,13 @@ def _diagonal_separable(spec):
     return spec.kind != "schur" or math.isinf(spec.p)
 
 
+def _sup_type(spec):
+    """Whether ``spec`` is :func:`_diagonal_separable` and reads the sup
+    over diagonals (jaffard, or any such spec at p = inf): its norm of a
+    stack's rows then depends on the rows only through max_k |F_k|."""
+    return _diagonal_separable(spec) and (spec.kind == "jaffard" or math.isinf(spec.p))
+
+
 def _diagonal_values(matrix, spec):
     """``(offsets, values)``: the number per stored diagonal that a
     :func:`_diagonal_separable` spec reads, the l^p norm of the diagonal for
@@ -422,7 +429,7 @@ def _stack_norm(spec, offsets, values, factors):
     w = _diagonal_weights(offsets, spec.r, spec.weight)
     values = np.asarray(values, dtype=float)
     mult = np.abs(np.asarray(factors)).astype(float, copy=False)
-    if spec.kind == "jaffard" or math.isinf(spec.p):
+    if _sup_type(spec):
         return ((values[..., None, :] * mult) * w).max(axis=-1, initial=0.0)
     return (((values * w) ** spec.p) @ (mult**spec.p).T) ** (1.0 / spec.p)
 
@@ -484,7 +491,7 @@ def _stack_values(matrix, spec, factors, outer=None):
         offs, values = _diagonal_values(matrix, spec)
         if outer is None:
             return _stack_norm(spec, offs, values, factors)
-        if spec.kind == "jaffard" or math.isinf(spec.p):
+        if _sup_type(spec):
             factors = np.abs(factors).max(axis=0, keepdims=True)
         return _stack_norm(spec, offs, values * np.abs(outer), factors).max(axis=-1)
     if outer is None:

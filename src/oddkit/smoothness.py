@@ -21,11 +21,16 @@ partition bands, and hands it to :func:`~oddkit.norms._stack_values`, which
 alone decides how each base evaluates a stack.  The modulus takes every
 base, ``op`` and callables included, on the real rows (2 sin(pi m.t))^k of
 ``_difference_factors``; a callable base is trusted to be
-modulation-invariant, as every norm of the framework is.  The modulus
-evaluator is one grid sup (``_grid_sup``, one level's grid) inside one
-dyadic level sum (``_level_sum``); reiteration nests the level sum, handing
-each outer level's rows to the same stack evaluator as outer rows, which
-keeps iterated norms affordable.
+modulation-invariant, as every norm of the framework is.  A sup-type base
+(jaffard, or any diagonal-separable solid norm at p = inf) reads a stack
+only through its column max, which depends on (d, W, grid, h) and not on
+the matrix: it reads the one row max_t |2 sin(pi m.t)| of
+``_grid_sup_row`` to the power k, formed in blocks of grid points and kept
+read-only in one bounded process-wide cache, so no (T, M) table is formed
+for it.  The modulus evaluator is one grid sup (``_grid_sup``, one level's
+grid) inside one dyadic level sum (``_level_sum``); reiteration nests the
+level sum, handing each outer level's rows to the same stack evaluator as
+outer rows, which keeps iterated norms affordable.
 
 Smoothness norms are addressed through :class:`BesovSpec` and the string
 grammar ``besov:base=...,r=...,p=...``, whose keys the norm grammar's
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice as _lattice
 from . import norms as _norms
 from .lattice import _as_order
 
@@ -107,12 +113,59 @@ def _difference_factors(offsets, pts, order):
     return theta
 
 
-def _grid_sup(matrix, spec, pts, order):
-    """max over the points t of ``pts`` of the base norm of the order-fold
-    difference at t: the rows of :func:`_difference_factors` are one
-    multiplier stack, whose max :func:`~oddkit.norms._stack_values` takes
-    under the single outer row g = 1."""
-    factors = _difference_factors(matrix.offset_array(), pts, order)
+# Sup rows kept process-wide; a row is 8 (4W+1)^d bytes.  The Besov
+# evaluators, reiteration and the grid check read 23 (grid, h) keys on a
+# W = 64 window and 15 on a W = 4 one.
+_SUP_ROWS = 64
+
+
+@functools.lru_cache(maxsize=_SUP_ROWS)
+def _grid_sup_row(dim, window, grid, h):
+    """max over the points t of ``t_grid(h, dim, grid)`` of |2 sin(pi m.t)|
+    for every offset m of the window, in the order of ``lattice._keys``.
+
+    The points are taken in blocks whose (points x offsets) table stays
+    under ``lattice._BLOCK_BYTES``; the row is read-only and shared by
+    every matrix of the window."""
+    offs = _lattice._offset_table(dim, window, 2 * window)[0].T.astype(float)
+    pts = t_grid(h, dim, grid)
+    row = np.zeros(offs.shape[1])
+    step = max(1, _lattice._BLOCK_BYTES // (8 * offs.shape[1]))
+    for i in range(0, len(pts), step):
+        # the same theta, and so the same bits, as _difference_factors
+        theta = pts[i : i + step] @ offs
+        np.multiply(theta, np.pi, out=theta)
+        np.sin(theta, out=theta)
+        np.abs(theta, out=theta)
+        np.maximum(row, theta.max(axis=0), out=row)
+        del theta  # else it is alive while the next block is formed
+    row *= 2.0
+    row.setflags(write=False)
+    return row
+
+
+def _grid_factors(matrix, spec, h, grid, order):
+    """The difference rows of the grid of radius h as a multiplier stack.
+
+    A sup-type base (:func:`~oddkit.norms._sup_type`) reads a stack only
+    through its column max, which depends on (d, W, grid, h) alone: its
+    stack is the one row ``_grid_sup_row ** order`` on the offsets of the
+    matrix.  Every other base takes the (T, M) rows of
+    :func:`_difference_factors`."""
+    offs = matrix.offset_array()
+    if _norms._sup_type(spec):
+        row = _grid_sup_row(matrix.dim, matrix.window, grid, h)
+        return (row[_lattice._keys(matrix.window, offs)] ** order)[None]
+    return _difference_factors(offs, t_grid(h, matrix.dim, grid), order)
+
+
+def _grid_sup(matrix, spec, h, grid, order):
+    """max over the points t of ``t_grid(h, d, grid)`` of the base norm of
+    the order-fold difference at t: the stack of :func:`_grid_factors`,
+    whose max :func:`~oddkit.norms._stack_values` takes under the single
+    outer row g = 1.  A sup-type base reads one shared row, so no (T, M)
+    table is formed for it."""
+    factors = _grid_factors(matrix, spec, h, grid, order)
     return _norms._stack_values(matrix, spec, factors, np.ones(factors.shape[1]))
 
 
@@ -130,8 +183,8 @@ def modulus(matrix, base, h, order=1, grid=None):
     norm of the order-fold modulation difference of the matrix; a callable
     base is trusted to be modulation-invariant."""
     order = _as_order(order)
-    pts = t_grid(h, matrix.dim, _default_grid(matrix.dim) if grid is None else grid)
-    return float(_grid_sup(matrix, _norms._coerce_spec(base), pts, order))
+    grid = _default_grid(matrix.dim) if grid is None else grid
+    return float(_grid_sup(matrix, _norms._coerce_spec(base), h, grid, order))
 
 
 def besov_norm_modulus(
@@ -159,7 +212,7 @@ def besov_norm_modulus(
     spec = _norms._coerce_spec(base)
 
     def sup(l):
-        return _grid_sup(matrix, spec, t_grid(2.0**-l, matrix.dim, grid), order)
+        return _grid_sup(matrix, spec, 2.0**-l, grid, order)
 
     return float(_level_sum(sup, _norms.matrix_norm(matrix, spec), r, p, level_max))
 
@@ -375,7 +428,9 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     modulus evaluator.  The two are equivalent; the ratio measures the
     constants.  For every base the iterated norm is the level sum of level
     sums on stacks: the difference rows g of each outer level are the outer
-    rows of the inner level sum's stacks.  Rejects the zero matrix."""
+    rows of the inner level sum's stacks, which are those of
+    :func:`_grid_factors` (one shared row per level for a sup-type base).
+    Rejects the zero matrix."""
     _norms._check_smoothness(r, p)
     _norms._check_smoothness(s, p)
     spec = _norms._coerce_spec(base)
@@ -386,8 +441,9 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     direct = besov_norm_modulus(matrix, spec, r + s, p, grid=grid)
     offs = matrix.offset_array()
     level_max = _default_level_max(matrix.window)
-    grids = [t_grid(2.0**-l, matrix.dim, grid) for l in range(level_max + 1)]
-    inner_factors = [_difference_factors(offs, pts, _default_order(r)) for pts in grids]
+    inner_factors = [
+        _grid_factors(matrix, spec, 2.0**-l, grid, _default_order(r)) for l in range(level_max + 1)
+    ]
     ones = np.ones((1, offs.shape[0]))
     stack = functools.partial(_norms._stack_values, matrix, spec)
 
@@ -395,7 +451,8 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
         return _level_sum(lambda l: stack(inner_factors[l], g), stack(ones, g), r, p, level_max)
 
     def outer(l):
-        return inner(_difference_factors(offs, grids[l], _default_order(s))).max(-1)
+        pts = t_grid(2.0**-l, matrix.dim, grid)
+        return inner(_difference_factors(offs, pts, _default_order(s))).max(-1)
 
     iterated = _level_sum(outer, inner(ones[0]), s, p, level_max)
     if direct == 0.0:

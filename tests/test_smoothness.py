@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oddkit
 from oddkit import BesovSpec, DyadicPartition, LatticeMatrix, NormSpec, ParameterDomainWarning, Weight
+from oddkit import smoothness
 from oddkit.smoothness import _default_level_max
 
 from conftest import dense_difference, offset_grid, random_matrix, single_diagonal
@@ -138,6 +139,87 @@ def test_op_reiteration_matches_nested_dense_oracle():
     direct = _dense_besov(_dense_op, dense, diff, 1, 1.0, 8, level_max)
     got = oddkit.reiteration_ratio(a, "op", 0.5, 0.5, grid=8)
     assert math.isclose(got, iterated / direct, rel_tol=1e-10)
+
+
+SUP_BASES = ("jaffard:r=0", "jaffard:r=1.5", "w[bessel:r=1]jaffard:r=0", "cpr:p=inf", "schur:p=inf")
+
+
+def _table_factors(matrix, spec, h, grid, order):
+    """The (T, M) difference rows of every grid point, whatever the base."""
+    pts = oddkit.t_grid(h, matrix.dim, grid)
+    return smoothness._difference_factors(matrix.offset_array(), pts, order)
+
+
+def _grid_values(monkeypatch, a, base, grid):
+    """(order, value) of every grid sup that modulus and besov_norm_modulus
+    take, one per level, and of two reiteration ratios (the highest order
+    of their differences)."""
+    seen = []
+    grid_sup = smoothness._grid_sup
+
+    def record(matrix, spec, h, g, order):
+        value = grid_sup(matrix, spec, h, g, order)
+        seen.append((order, float(value)))
+        return value
+
+    with monkeypatch.context() as mp:
+        mp.setattr(smoothness, "_grid_sup", record)
+        for h in (1.0, 0.25, 0.0625):
+            for order in (1, 2, 3):
+                oddkit.modulus(a, base, h, order, grid=grid)
+        for r in (0.5, 1.5, 2.5):
+            oddkit.besov_norm_modulus(a, base, r, 2.0, grid=grid)
+    for r, s, p, order in ((0.5, 0.5, math.inf, 2), (1.5, 0.5, 1.0, 3)):
+        seen.append((order, oddkit.reiteration_ratio(a, base, r, s, p, grid=grid)))
+    return seen
+
+
+@pytest.mark.parametrize("dim,window,grid", [(1, 8, 64), (2, 3, 16)])
+@pytest.mark.parametrize("banded", [False, True])
+def test_sup_row_moduli_match_the_table_path(monkeypatch, dim, window, grid, banded):
+    # a sup-type base reads the shared row max_t |2 sin(pi m.t)| to the
+    # power k; the (T, M) table through the stack evaluator is the oracle.
+    # Orders 1 and 2 keep their bits; at order 3 a power of the row is not
+    # the column max of the powered table to the last bit
+    band = window // 2 if banded else None
+    a = oddkit.generate(oddkit.DecayModel("phase", 2.5, seed=21), window, dim=dim, band=band)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterDomainWarning)
+        for base in SUP_BASES:
+            fast = _grid_values(monkeypatch, a, base, grid)
+            with monkeypatch.context() as mp:
+                mp.setattr(smoothness, "_grid_factors", _table_factors)
+                slow = _grid_values(mp, a, base, grid)
+            assert [k for k, _ in fast] == [k for k, _ in slow]
+            for (order, got), (_, want) in zip(fast, slow):
+                if order <= 2:
+                    assert got == want, (base, order)
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), (base, order)
+
+
+def test_grid_sup_rows_are_read_only_and_keyed(monkeypatch):
+    assert smoothness._grid_sup_row.cache_info().maxsize >= 64
+    keys = [(1, 4, 16, 0.25), (1, 5, 16, 0.25), (1, 4, 32, 0.25), (1, 4, 16, 0.5), (2, 4, 16, 0.25)]
+    rows = [smoothness._grid_sup_row(*key) for key in keys]
+    for key, row in zip(keys, rows):
+        dim, window, grid, h = key
+        assert smoothness._grid_sup_row(*key) is row
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        axis = np.arange(-2 * window, 2 * window + 1)
+        offs = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+        theta = oddkit.t_grid(h, dim, grid) @ offs.T.astype(float)
+        assert np.array_equal(row, np.abs(2.0 * np.sin(np.pi * theta)).max(axis=0))
+        # walked one grid point at a time: the same bits
+        with monkeypatch.context() as mp:
+            mp.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * len(offs))
+            assert smoothness._grid_sup_row.__wrapped__(*key).tobytes() == row.tobytes()
+    for i, row in enumerate(rows):
+        for other in rows[i + 1 :]:
+            assert not np.shares_memory(row, other)
+            assert row.shape != other.shape or not np.array_equal(row, other)
 
 
 def test_besov_modulus_main_diagonal_only():
@@ -525,23 +607,11 @@ def test_reiteration_memory_bounded_d2():
 
 @pytest.mark.memory
 def test_besov_modulus_memory_bounded_d2():
-    # the level sum holds one level's (T, M) multipliers at a time: at d=2
-    # W=8 on the default grid each is 6.4 MB (T = 740 points, M = 1089
-    # offsets), and all seven levels together would be 45 MB
-    a = oddkit.corpus(5, 8, count=1, dim=2)[0]
-    tracemalloc.start()
-    try:
-        oddkit.besov_norm_modulus(a, "jaffard:r=0", 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
-
-
-@pytest.mark.memory
-def test_difference_factors_memory_bounded_d2():
-    # the (T, M) factors (6.4 MB per level here) are formed in place: the
-    # call peaks at 12.3 MB, and would reach 18.5 MB with two temporaries
+    # a sup-type base reads one row per level, formed in blocks of grid
+    # points: at d=2 W=8 on the default grid the call peaks at 4.1 MB.  A
+    # level's (T, M) multipliers are 6.4 MB (T = 740 points, M = 1089
+    # offsets): the call peaked at 12.3 MB while it formed them one level
+    # at a time, and all seven levels together would be 45 MB
     a = oddkit.corpus(5, 8, count=1, dim=2)[0]
     tracemalloc.start()
     try:
@@ -550,6 +620,38 @@ def test_difference_factors_memory_bounded_d2():
     finally:
         tracemalloc.stop()
     assert peak < 14 * 2**20
+
+
+@pytest.mark.memory
+def test_difference_factors_memory_bounded_d2():
+    # every base but a sup-type one still takes a level's (T, M) factors,
+    # 740 x 1089 here: formed in place the call peaks at 6.2 MB, and one
+    # temporary of the table would take it to 12.3 MB
+    a = oddkit.corpus(5, 8, count=1, dim=2)[0]
+    pts = oddkit.t_grid(1.0, 2, 32)
+    tracemalloc.start()
+    try:
+        smoothness._difference_factors(a.offset_array(), pts, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.memory
+def test_sup_modulus_memory_bounded_d2():
+    # the sup row walks the grid in blocks of points under the block budget:
+    # 128 points per axis at h = 1/4 (12644 points) against the 4225
+    # offsets of d=2 W=16 peak at 4.3 MB, where the (T, M) table and its
+    # |.| took 2 x 408 MB
+    a = oddkit.corpus(5, 16, count=1, dim=2)[0]
+    tracemalloc.start()
+    try:
+        oddkit.modulus(a, "jaffard:r=0", 0.25, grid=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_continuity_defect():
