@@ -30,7 +30,14 @@ read-only in one bounded process-wide cache, so no (T, M) table is formed
 for it.  The modulus evaluator is one grid sup (``_grid_sup``, one level's
 grid) inside one dyadic level sum (``_level_sum``); reiteration nests the
 level sum, handing each outer level's rows to the same stack evaluator as
-outer rows, which keeps iterated norms affordable.
+outer rows, which keeps iterated norms affordable.  For a sup-type base at
+summability p = inf the inner level sum is a max over levels of a max over
+diagonals, so its levels fold into one row max_l 2^{r l} |F_l| and each
+inner sum takes two stacks; at p < inf the levels enter an l^p sum, and
+Schur and cpr at p < inf do not read a stack through its column max, so
+there every inner level stays a stack of its own.  The partition bands
+depend on an offset only through |m|_inf, and are evaluated once per band
+on the distinct radii.
 
 Smoothness norms are addressed through :class:`BesovSpec` and the string
 grammar ``besov:base=...,r=...,p=...``, whose keys the norm grammar's
@@ -240,6 +247,11 @@ class DyadicPartition:
     by telescoping (dividing by the sum of its own dyadic dilates), so
     ``sum_k band(k, m) + low_pass(m) = 1`` holds to round-off at every
     lattice offset.
+
+    A band depends on an offset only through its radius |m|_inf, so
+    :meth:`low_pass` and :func:`besov_norm_phi_lp` read every row from
+    ``_bands``, which evaluates the profile once per band on the distinct
+    radii; :meth:`band` evaluates one band on the offsets themselves.
     """
 
     @staticmethod
@@ -274,34 +286,40 @@ class DyadicPartition:
 
     def low_pass(self, offsets):
         """phi_hat_{-1}(m) = 1 - sum_{k >= 0} phi_hat_k(m); equals 1 at m = 0."""
-        offsets = np.asarray(offsets)
-        sup = np.abs(offsets).max(axis=1).astype(float)
-        out = np.ones(len(sup))
-        mx = sup.max() if len(sup) else 0.0
-        if mx > 0:
-            k_top = int(math.ceil(math.log2(max(mx, 1.0)))) + 1
-            for k in range(0, k_top + 1):
-                out -= self.profile(sup * 2.0 ** (-k))
-        return out
+        bands, inverse = self._bands(offsets)
+        return bands[0].take(inverse)
+
+    def _bands(self, offsets):
+        """``(rows, inverse)``: the rows [low_pass, band_0, ..., band_K],
+        K = ceil(log2 max(max |m|_inf, 1)) + 1, on the distinct radii
+        |m|_inf of an (M, d) offset array, and the index of each offset's
+        radius: ``rows.take(inverse, axis=1)`` are the rows on the offsets.
+        The low-pass is 1 minus the bands, subtracted in the order k = 0..K.
+        """
+        radii, inverse = np.unique(np.abs(np.asarray(offsets)).max(axis=1), return_inverse=True)
+        sup = radii.astype(float)
+        top = int(math.ceil(math.log2(max(sup.max(initial=0.0), 1.0)))) + 1
+        rows = np.empty((top + 2, len(sup)))
+        rows[0] = 1.0
+        for k in range(top + 1):
+            rows[k + 1] = self.profile(sup * 2.0 ** (-k))
+            rows[0] -= rows[k + 1]
+        return rows, inverse
 
 
 def besov_norm_phi_lp(matrix, base, r, p=math.inf):
     """Like :func:`besov_norm_solid_lp` but with the hard dyadic blocks
-    replaced by the smooth partition bands (k = -1 uses the low-pass)."""
+    replaced by the smooth partition bands (k = -1 uses the low-pass), each
+    band evaluated once on the distinct radii of the offsets."""
     _norms._check_smoothness(r, p)
     base = _norms._require_solid(base)
-    partition = DyadicPartition()
-    offs = matrix.offset_array()
-    max_abs = int(np.abs(offs).max(initial=0))
-    ks = np.arange(-1, int(math.ceil(math.log2(max(max_abs, 1)))) + 2)
-    bands = np.array(
-        [partition.low_pass(offs)] + [partition.band(k, offs) for k in ks[1:]]
-    )
+    bands, inverse = DyadicPartition()._bands(matrix.offset_array())
     keep = (bands != 0).any(axis=1)
-    vals = _norms._stack_values(matrix, base, bands[keep])
-    return float(
-        _norms._lp_combine([2.0 ** (k * r) * v for k, v in zip(ks[keep].tolist(), vals)], p)
-    )
+    ks = np.arange(-1, len(bands) - 1)[keep]
+    # take() keeps the stack C-ordered, as the rows were: a cpr stack at
+    # p < inf is one matrix product, whose sum order follows the layout
+    vals = _norms._stack_values(matrix, base, bands[keep].take(inverse, axis=1))
+    return float(_norms._lp_combine([2.0 ** (k * r) * v for k, v in zip(ks.tolist(), vals)], p))
 
 
 # -- spec plumbing ------------------------------------------------------------
@@ -430,7 +448,14 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     sums on stacks: the difference rows g of each outer level are the outer
     rows of the inner level sum's stacks, which are those of
     :func:`_grid_factors` (one shared row per level for a sup-type base).
-    Rejects the zero matrix."""
+
+    For a sup-type base at p = inf the inner level sum is a max over levels
+    of a max over diagonals, so its levels fold into the one row
+    H(m) = max_l 2^{r l} max_k |F_{l,k}(m)|, and each inner sum is two
+    stacks, the base row and H, instead of level_max + 2.  At p < inf a
+    level enters an l^p sum, and Schur and cpr at p < inf do not read a
+    stack through its column max, so every other case keeps one stack per
+    level.  Rejects the zero matrix."""
     _norms._check_smoothness(r, p)
     _norms._check_smoothness(s, p)
     spec = _norms._coerce_spec(base)
@@ -446,9 +471,16 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     ]
     ones = np.ones((1, offs.shape[0]))
     stack = functools.partial(_norms._stack_values, matrix, spec)
+    if _norms._sup_type(spec) and math.isinf(p):
+        # one level of weight 2^0 = 1: the max over levels of their column
+        # maxima, each times its weight
+        levels = [2.0 ** (r * l) * np.abs(f).max(axis=0) for l, f in enumerate(inner_factors)]
+        inner_factors = [np.max(levels, axis=0, keepdims=True)]
 
     def inner(g):
-        return _level_sum(lambda l: stack(inner_factors[l], g), stack(ones, g), r, p, level_max)
+        return _level_sum(
+            lambda l: stack(inner_factors[l], g), stack(ones, g), r, p, len(inner_factors) - 1
+        )
 
     def outer(l):
         pts = t_grid(2.0**-l, matrix.dim, grid)

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -326,6 +327,48 @@ def test_besov_phi_lp_pinned():
     assert math.isclose(oddkit.besov_norm_phi_lp(u, "jaffard:r=0", 1.0), 4.0, rel_tol=1e-12)
 
 
+def _phi_lp_from_public_bands(a, base, r, p):
+    """besov_norm_phi_lp rebuilt from the public band and low_pass rows on
+    the offsets themselves, in C order, one profile row per band."""
+    part = DyadicPartition()
+    offs = a.offset_array()
+    top = int(math.ceil(math.log2(max(int(np.abs(offs).max(initial=0)), 1)))) + 1
+    bands = [part.band(k, offs) for k in range(top + 1)]
+    low = np.ones(len(offs))
+    for band in bands:
+        low -= band
+    # the low-pass is 1 minus the bands, subtracted in the order k = 0..top
+    assert part.low_pass(offs).tobytes() == low.tobytes()
+    rows = np.array([part.low_pass(offs)] + bands)
+    keep = (rows != 0).any(axis=1)
+    ks = np.arange(-1, top + 1)[keep]
+    vals = oddkit.norms._stack_values(a, oddkit.norms._coerce_spec(base), rows[keep])
+    weighted = [2.0 ** (k * r) * v for k, v in zip(ks.tolist(), vals)]
+    return float(oddkit.norms._lp_combine(weighted, p))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: oddkit.generate(oddkit.DecayModel("phase", 2.5, seed=4), 64, band=32),
+        lambda: LatticeMatrix.identity(1, 8) * 3.0,
+        lambda: LatticeMatrix.zeros(1, 8),
+        lambda: decay_matrix(5, 8, dim=2),
+    ],
+    ids=["banded", "main-diagonal", "zeros", "d2"],
+)
+def test_phi_lp_keeps_the_bits_of_the_public_bands(make):
+    # the bands are evaluated once on the distinct radii |m|_inf and
+    # gathered back to the offsets: every value keeps its bits, also on
+    # the matrix-product path of cpr at p < inf, which sums in layout order
+    # (at d=2 W=8 a column-ordered stack moves its values in the last bit)
+    a = make()
+    for base in ("jaffard:r=0", "schur:p=1,r=0", "cpr:p=2,r=0.5,literal=true", "cpr:p=2,r=0"):
+        for r, p in ((0.5, math.inf), (1.5, 1.0), (1.0, 2.0)):
+            got = oddkit.besov_norm_phi_lp(a, base, r, p)
+            assert got == _phi_lp_from_public_bands(a, base, r, p), (base, r, p)
+
+
 def test_three_evaluators_within_interval():
     for seed in range(4):
         a = decay_matrix(40 + seed, 12)
@@ -545,6 +588,103 @@ def test_reiteration_fast_path_matches_generic_d2():
         fast = oddkit.reiteration_ratio(a, spec, 0.5, 0.5, grid=8)
         slow = oddkit.reiteration_ratio(a, _generic(spec), 0.5, 0.5, grid=8)
         assert math.isclose(fast, slow, rel_tol=1e-10)
+
+
+def _level_by_level_ratio(a, base, r, s, grid):
+    """reiteration_ratio at p = inf with one stack per inner level: the
+    path that every base takes at p < inf."""
+    spec = oddkit.norms._coerce_spec(base)
+    stack = functools.partial(oddkit.norms._stack_values, a, spec)
+    level_max = _default_level_max(a.window)
+    offs = a.offset_array()
+    levels = [
+        smoothness._grid_factors(a, spec, 2.0**-l, grid, math.floor(r) + 1)
+        for l in range(level_max + 1)
+    ]
+    ones = np.ones((1, len(offs)))
+
+    def inner(g):
+        return smoothness._level_sum(
+            lambda l: stack(levels[l], g), stack(ones, g), r, math.inf, level_max
+        )
+
+    def outer(l):
+        pts = oddkit.t_grid(2.0**-l, a.dim, grid)
+        return inner(smoothness._difference_factors(offs, pts, math.floor(s) + 1)).max(-1)
+
+    iterated = smoothness._level_sum(outer, inner(ones[0]), s, math.inf, level_max)
+    return iterated / oddkit.besov_norm_modulus(a, spec, r + s, math.inf, grid=grid)
+
+
+FOLD_BASES = ("jaffard:r=0", "w[bessel:r=1]jaffard:r=0", "cpr:p=inf,r=1", "schur:p=inf,r=0.5")
+
+
+@pytest.mark.parametrize("dim,window,grid", [(1, 64, 32), (2, 8, 16)])
+def test_reiteration_fold_matches_level_by_level(dim, window, grid):
+    # a sup-type base at p = inf folds the inner levels into one row
+    # max_l 2^{rl} max_k |F_lk|; the level-by-level max is the oracle.  The
+    # power 2^{rl} is applied before the max over diagonals, not after, so
+    # values may move in the last bit; r != s, and r = 1.5 (s = 1.5) takes
+    # inner (outer) differences of order 2
+    a = decay_matrix(13, window, dim=dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterDomainWarning)
+        for base in FOLD_BASES:
+            for r, s in ((1.5, 0.5), (0.5, 1.5)):
+                got = oddkit.reiteration_ratio(a, base, r, s, grid=grid)
+                want = _level_by_level_ratio(a, base, r, s, grid)
+                assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), (base, r, s)
+
+
+def _top_level_stack_calls(monkeypatch, call):
+    """The number of _stack_values calls that ``call`` makes, not counting
+    the ones a stack call makes itself."""
+    real = oddkit.norms._stack_values
+    depth, calls = [0], [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oddkit.norms, "_stack_values", counting)
+        call()
+    return calls[0]
+
+
+@pytest.mark.parametrize(
+    "base,p,folds",
+    [
+        ("jaffard:r=0", math.inf, True),
+        ("cpr:p=inf,r=1", math.inf, True),
+        ("schur:p=inf,r=0.5", math.inf, True),
+        ("jaffard:r=0", 1.0, False),
+        ("cpr:p=inf,r=1", 1.0, False),
+        ("schur:p=1,r=0", math.inf, False),
+        ("cpr:p=2,r=0", math.inf, False),
+    ],
+)
+def test_reiteration_fold_path(monkeypatch, base, p, folds):
+    # level_max + 1 outer levels and the base row each take one inner
+    # level sum: two stacks (base row and folded row) on a sup-type base at
+    # p = inf, level_max + 2 stacks otherwise
+    a = decay_matrix(14, 8)
+    r, s, grid = 0.5, 1.0, 16
+    levels = _default_level_max(a.window) + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterDomainWarning)
+        direct = _top_level_stack_calls(
+            monkeypatch, lambda: oddkit.besov_norm_modulus(a, base, r + s, p, grid=grid)
+        )
+        calls = _top_level_stack_calls(
+            monkeypatch, lambda: oddkit.reiteration_ratio(a, base, r, s, p, grid=grid)
+        )
+    per_inner_sum = 2 if folds else levels + 1
+    assert calls == direct + (levels + 1) * per_inner_sum
 
 
 def test_literal_cpr_stack_evaluators_match_generic():
