@@ -552,18 +552,25 @@ class LatticeMatrix:
 
         ``factor_fn`` receives the read-only (M, dim) offset array and must
         return M complex factors, all finite.  Diagonals whose factor is
-        exactly zero are dropped.
+        exactly zero are dropped, and so are those whose products all
+        underflow to zero.
         """
         if self.is_zero():
             return self
         factors = np.asarray(factor_fn(self._offs))
         if not np.isfinite(factors).all():
             raise ValueError("non-finite diagonal factor")
-        scaled = LatticeMatrix._raw(
-            self.dim, self.window, self._offs, self._buf * np.repeat(factors, self._lens),
-            self._lens,
-        )
-        return scaled.select(factors != 0)
+        buf = self._buf * np.repeat(factors, self._lens)
+        keep = factors != 0
+        # a diagonal whose products all underflow starts with a zero, so only
+        # the kept diagonals that do are read in full
+        first = buf[self._starts]
+        if not first.all():
+            check = np.flatnonzero(keep & (first == 0))
+            lens = self._lens[check]
+            nonzero = buf[_ranges(self._starts[check], lens)] != 0
+            keep[check] = np.logical_or.reduceat(nonzero, np.cumsum(lens) - lens)
+        return LatticeMatrix._raw(self.dim, self.window, self._offs, buf, self._lens).select(keep)
 
     def __repr__(self):
         return (

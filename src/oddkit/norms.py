@@ -19,12 +19,12 @@ column sums; its one formula is ``_line_sums``, which sums
 |A(k, l)|^p (w_m |F_m|)^p along every line for a whole stack at once.
 ``_stack_values`` is the one multiplier-stack evaluator: it picks the
 formula of the base, and given a stack of outer rows g it returns
-max_k base(g F_k . A) for every g, which is how the smoothness evaluators
-take a modulus grid and reiteration takes its nested grids, for every base
-on the same real difference rows; only ``op`` and callables take one scaled
-matrix per row.  Every solid family function is its single row F = 1, and
-``weighted_norm`` (so ``bessel_norm``) the single row of its weight;
-``_require_solid`` is the one refusal of ``op`` as a base.
+max_k base(g F_k . A) for every g, which is how reiteration takes its
+nested grids, for every base on the same real difference rows; only ``op``
+and callables take one scaled matrix per row.  Every solid family function
+is its single row F = 1, and ``weighted_norm`` (so ``bessel_norm``) the
+single row of its weight; ``_require_solid`` is the one refusal of ``op``
+as a base.
 
 ``op_norm_l2`` is the one non-solid norm (largest singular value on the
 window).  Its dense kernel, which also serves the finite-section gates and
@@ -444,10 +444,13 @@ def _line_sums(matrix, spec, factors):
     The sums run over the parts of :meth:`LatticeMatrix.diagonal_blocks`.
     One row adds each entry of a part, times its weight, into its row and
     its column (``bincount`` over :meth:`LatticeMatrix.coordinates`).  More
-    rows take a part's (diagonals x lines) table of |A|^p, whose product
-    with the part's columns of (w |F|)^p gives the line sums of every row at
-    once.  Either way a part's temporaries stay under the block budget.
+    rows take a part's (diagonals x lines) table of |A|^p over the run of
+    lines its entries reach, whose product with the part's columns of
+    (w |F|)^p gives those line sums of every row at once.  Either way a
+    part's temporaries stay under the block budget.
     """
+    if matrix.is_zero():  # no part has a line to reach
+        return np.zeros(len(factors))
     offs = matrix.offset_array()
     g = (_diagonal_weights(offs, spec.r, spec.weight) * np.abs(factors)) ** spec.p
     n = matrix.n_rows
@@ -463,11 +466,13 @@ def _line_sums(matrix, spec, factors):
             for line, out in zip((rows, cols), sums):
                 out[0] += np.bincount(line, powed, minlength=n)
             continue
-        at = np.repeat(np.arange(0, lens.size * n, n), lens)
         for line, out in zip((rows, cols), sums):
-            table = np.zeros(lens.size * n)
-            table[at + line] = powed
-            out += cols_g @ table.reshape(lens.size, n)
+            # the lines lo..hi-1 that the part's entries reach: at d=2 a part
+            # of consecutive diagonals reaches few values of the first index
+            lo, hi = line.min(), line.max() + 1
+            table = np.zeros(lens.size * (hi - lo))
+            table[np.repeat(np.arange(lens.size) * (hi - lo) - lo, lens) + line] = powed
+            out[:, lo:hi] += cols_g @ table.reshape(lens.size, hi - lo)
     return sums.max(axis=(0, 2))
 
 

@@ -21,23 +21,31 @@ partition bands, and hands it to :func:`~oddkit.norms._stack_values`, which
 alone decides how each base evaluates a stack.  The modulus takes every
 base, ``op`` and callables included, on the real rows (2 sin(pi m.t))^k of
 ``_difference_factors``; a callable base is trusted to be
-modulation-invariant, as every norm of the framework is.  A sup-type base
+modulation-invariant, as every norm of the framework is.
+
+``modulus`` and ``besov_norm_modulus`` are one walk over the rows of every
+dyadic level (``_grid_sups``), the base row F = 1 leading the Besov walk,
+and the maxima per level are taken from the row values.  A sup-type base
 (jaffard, or any diagonal-separable solid norm at p = inf) reads a stack
 only through its column max, which depends on (d, W, grid, h) and not on
-the matrix: it reads the one row max_t |2 sin(pi m.t)| of
-``_grid_sup_row`` to the power k, formed in blocks of grid points and kept
-read-only in one bounded process-wide cache, so no (T, M) table is formed
-for it.  The modulus evaluator is one grid sup (``_grid_sup``, one level's
-grid) inside one dyadic level sum (``_level_sum``); reiteration nests the
-level sum, handing each outer level's rows to the same stack evaluator as
-outer rows, which keeps iterated norms affordable.  For a sup-type base at
-summability p = inf the inner level sum is a max over levels of a max over
-diagonals, so its levels fold into one row max_l 2^{r l} |F_l| and each
-inner sum takes two stacks; at p < inf the levels enter an l^p sum, and
-Schur and cpr at p < inf do not read a stack through its column max, so
-there every inner level stays a stack of its own.  The partition bands
-depend on an offset only through |m|_inf, and are evaluated once per band
-on the distinct radii.
+the matrix: each level is the one row max_t |2 sin(pi m.t)| of
+``_grid_sup_row`` to the power k, formed over the whole grid ``t_grid`` in
+blocks of points and kept read-only in one bounded process-wide cache.
+Every other base takes the rows of the half grid ``_half_grid``, the
+points whose first nonzero coordinate is > 0: the row at -t is (-1)^k
+times the row at t and every norm is even, so half of the symmetric grid
+gives the whole sup.  Those rows are formed in chunks of at most
+``lattice._BLOCK_BYTES``, a chunk filled across levels, so that one stack
+call takes the rows of every level that fit and no more than one chunk is
+alive.  Reiteration nests the level sum, handing the difference rows of
+each outer level (on the half grid, for every base) to the same stack
+evaluator as outer rows.  For a sup-type base at summability p = inf the
+inner level sum is a max over levels of a max over diagonals, so its levels
+fold into one row max_l 2^{r l} |F_l| and each inner sum takes two stacks;
+at p < inf the levels enter an l^p sum, and Schur and cpr at p < inf do
+not read a stack through its column max, so there every inner level stays
+a stack of its own.  The partition bands depend on an offset only through
+|m|_inf, and are evaluated once per band on the distinct radii.
 
 Smoothness norms are addressed through :class:`BesovSpec` and the string
 grammar ``besov:base=...,r=...,p=...``, whose keys the norm grammar's
@@ -86,6 +94,17 @@ def _default_order(r):
     return int(math.floor(r)) + 1
 
 
+def _as_count(value, name, least):
+    """A grid size or a top dyadic level as an int >= ``least``; a
+    non-integral or NaN value is refused, and an integral float such as 16.0
+    is taken as 16."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
 def t_grid(h, dim, grid):
     """Uniform modulation grid at dim 1 or 2: ``grid`` points per axis
     spanning [-h, h], restricted to |t|_2 <= h.  Endpoints are included."""
@@ -93,9 +112,7 @@ def t_grid(h, dim, grid):
         raise ValueError("h must be finite and > 0")
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
-    if grid < 8:
-        raise ValueError("grid must have at least 8 points per axis")
-    axis = np.linspace(-h, h, grid)
+    axis = np.linspace(-h, h, _as_count(grid, "grid", 8))
     if dim == 1:
         return axis.reshape(-1, 1)
     tx, ty = np.meshgrid(axis, axis, indexing="ij")
@@ -104,14 +121,28 @@ def t_grid(h, dim, grid):
     return pts[keep]
 
 
-def _difference_factors(offsets, pts, order):
-    """(2 sin(pi m.t))^order as a (T, M) array of real multiplier rows.
+def _half_grid(h, dim, grid):
+    """The points of ``t_grid(h, dim, grid)`` whose first nonzero coordinate
+    is > 0.  The row of -t is (-1)^k times the row of t, and every base norm
+    is even, so these points give the whole grid sup; the origin of an odd
+    grid has the zero row.  A coordinate is told by its index on the axis,
+    since the middle point of an odd axis may round off zero."""
+    pts = t_grid(h, dim, grid)
+    # 2i - (grid - 1) for the point i of the axis: its index from the middle
+    centred = np.rint(pts * ((grid - 1) / h))
+    first = np.where(centred[:, 0] != 0, centred[:, 0], centred[:, -1])
+    return pts[first > 0]
+
+
+def _difference_factors(offsets, pts, order, out=None):
+    """(2 sin(pi m.t))^order as a (T, M) array of real multiplier rows,
+    formed in ``out`` when one is given.
 
     e^{2 pi i m.t} - 1 = 2i sin(pi m.t) e^{pi i m.t}, so the order-k
     difference at t is i^k times the modulation by kt/2 of the row at t
     applied to A; the modulation is an isometry of ``op`` and of every solid
     norm, so each row gives the base norm of the difference."""
-    theta = pts @ offsets.T.astype(float)  # (T, M)
+    theta = np.matmul(pts, offsets.T.astype(float), out=out)  # (T, M)
     # (2 sin(pi theta))^order in place: one (T, M) buffer, not three
     np.multiply(theta, np.pi, out=theta)
     np.sin(theta, out=theta)
@@ -158,29 +189,55 @@ def _grid_factors(matrix, spec, h, grid, order):
     through its column max, which depends on (d, W, grid, h) alone: its
     stack is the one row ``_grid_sup_row ** order`` on the offsets of the
     matrix.  Every other base takes the (T, M) rows of
-    :func:`_difference_factors`."""
+    :func:`_difference_factors` on the half grid :func:`_half_grid`."""
     offs = matrix.offset_array()
     if _norms._sup_type(spec):
         row = _grid_sup_row(matrix.dim, matrix.window, grid, h)
         return (row[_lattice._keys(matrix.window, offs)] ** order)[None]
-    return _difference_factors(offs, t_grid(h, matrix.dim, grid), order)
+    return _difference_factors(offs, _half_grid(h, matrix.dim, grid), order)
 
 
-def _grid_sup(matrix, spec, h, grid, order):
-    """max over the points t of ``t_grid(h, d, grid)`` of the base norm of
-    the order-fold difference at t: the stack of :func:`_grid_factors`,
-    whose max :func:`~oddkit.norms._stack_values` takes under the single
-    outer row g = 1.  A sup-type base reads one shared row, so no (T, M)
-    table is formed for it."""
-    factors = _grid_factors(matrix, spec, h, grid, order)
-    return _norms._stack_values(matrix, spec, factors, np.ones(factors.shape[1]))
+def _grid_sups(matrix, spec, hs, grid, order, base=False):
+    """The modulus at every radius h of ``hs``: the max over the grid of
+    radius h of the base norm of the order-fold difference, as one array,
+    led by the base norm of the matrix itself (the row F = 1) when ``base``.
+
+    This is one walk over the rows of every level.  A sup-type base reads
+    the one shared row of each level (:func:`_grid_factors`), and all of
+    them make one stack.  Every other base takes the rows of the half grids
+    (:func:`_half_grid`), formed in chunks of at most
+    ``lattice._BLOCK_BYTES`` that are filled across levels: each chunk is
+    one :func:`~oddkit.norms._stack_values` call, and no more than one
+    chunk of rows is alive.  The maxima per level are taken from the row
+    values."""
+    offs = matrix.offset_array()
+    if _norms._sup_type(spec):
+        stacks = [np.ones((1, len(offs)))] * base
+        stacks += [_grid_factors(matrix, spec, h, grid, order) for h in hs]
+        sizes = [len(stack) for stack in stacks]
+        values = _norms._stack_values(matrix, spec, np.concatenate(stacks))
+    else:
+        pts = [_half_grid(h, matrix.dim, grid) for h in hs]
+        sizes = [1] * base + [len(p) for p in pts]
+        pts = np.concatenate(pts)
+        values = np.empty(sum(sizes))
+        step = max(1, _lattice._BLOCK_BYTES // (8 * max(1, len(offs))))
+        chunk = np.empty((min(step, len(values)), len(offs)))
+        for lo in range(0, len(values), step):
+            rows = chunk[: len(values) - lo]
+            at = lo - base  # the point of the chunk's first row
+            head = max(-at, 0)  # the base row F = 1 leads the first chunk
+            rows[:head] = 1.0
+            _difference_factors(offs, pts[at + head : at + len(rows)], order, out=rows[head:])
+            values[lo : lo + len(rows)] = _norms._stack_values(matrix, spec, rows)
+    return np.maximum.reduceat(values, np.cumsum(sizes) - sizes)
 
 
 def _level_sum(sup, base, r, p, level_max):
     """``base + ( sum_l (2^{r l} sup(l))^p )^{1/p}`` over l = 0..level_max,
     where ``sup(l)`` is a value or an array for the modulation grid of radius
     2^-l.  Only those results are kept, so a ``sup`` that builds its level's
-    (T, M) multipliers holds one level's at a time."""
+    multipliers holds one level's at a time."""
     vals = [2.0 ** (r * l) * sup(l) for l in range(level_max + 1)]
     return base + _norms._lp_combine(np.stack(vals, axis=-1), p)
 
@@ -188,10 +245,15 @@ def _level_sum(sup, base, r, p, level_max):
 def modulus(matrix, base, h, order=1, grid=None):
     """Modulus of smoothness: max over the grid with |t| <= h of the base
     norm of the order-fold modulation difference of the matrix; a callable
-    base is trusted to be modulation-invariant."""
+    base is trusted to be modulation-invariant.
+
+    A sup-type base reads the shared row of the whole grid; every other base
+    takes the rows of the half grid, whose first nonzero coordinate is > 0,
+    since the rows at t and -t differ by the sign (-1)^k and every norm is
+    even."""
     order = _as_order(order)
-    grid = _default_grid(matrix.dim) if grid is None else grid
-    return float(_grid_sup(matrix, _norms._coerce_spec(base), h, grid, order))
+    grid = _default_grid(matrix.dim) if grid is None else _as_count(grid, "grid", 8)
+    return float(_grid_sups(matrix, _norms._coerce_spec(base), [h], grid, order)[0])
 
 
 def besov_norm_modulus(
@@ -205,23 +267,23 @@ def besov_norm_modulus(
 ):
     """Base norm plus the dyadic modulus sum
     ``( sum_l (2^{r l} w_k(2^{-l}))^p )^{1/p}`` over l = 0..level_max, each
-    w_k the grid sup of :func:`modulus` on one stack of difference rows.
+    w_k the grid sup of :func:`modulus`.
 
-    The difference order defaults to floor(r) + 1 and must exceed floor(r);
+    The base norm and the rows of every level are one chunked walk
+    (:func:`_grid_sups`): a sup-type base reads one shared row per level,
+    every other base the rows of each level's half grid, since the rows at
+    t and -t differ by the sign (-1)^k and every norm is even.  The
+    difference order defaults to floor(r) + 1 and must exceed floor(r);
     level_max defaults to ceil(log2(2W)) + 2.
     """
-    BesovSpec(base, r, p, order, grid=grid, level_max=level_max)  # refuses what a spec refuses
-    order = _default_order(r) if order is None else int(order)
-    if level_max is None:
-        level_max = _default_level_max(matrix.window)
-    if grid is None:
-        grid = _default_grid(matrix.dim)
-    spec = _norms._coerce_spec(base)
-
-    def sup(l):
-        return _grid_sup(matrix, spec, 2.0**-l, grid, order)
-
-    return float(_level_sum(sup, _norms.matrix_norm(matrix, spec), r, p, level_max))
+    # refuses what a spec refuses, and reads integral floats as ints
+    spec = BesovSpec(base, r, p, order, grid=grid, level_max=level_max)
+    order = _default_order(r) if spec.order is None else spec.order
+    level_max = _default_level_max(matrix.window) if spec.level_max is None else spec.level_max
+    grid = _default_grid(matrix.dim) if spec.grid is None else spec.grid
+    hs = [2.0**-l for l in range(level_max + 1)]
+    sups = _grid_sups(matrix, _norms._coerce_spec(base), hs, grid, order, base=True)
+    return float(_level_sum(lambda l: sups[l + 1], sups[0], r, p, level_max))
 
 
 def besov_norm_solid_lp(matrix, base, r, p=math.inf):
@@ -345,12 +407,17 @@ class BesovSpec:
         _norms._check_smoothness(self.r, self.p)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.order is not None and _as_order(self.order) <= math.floor(self.r):
+        # integral floats are kept as ints, so that the grammar reads back
+        # what format_besov_spec writes
+        for name, read in (
+            ("order", _as_order),
+            ("grid", lambda v: _as_count(v, "grid", 8)),
+            ("level_max", lambda v: _as_count(v, "level_max", 0)),
+        ):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read(getattr(self, name)))
+        if self.order is not None and self.order <= math.floor(self.r):
             raise ValueError(f"difference order {self.order} must exceed floor({self.r})")
-        if self.grid is not None and self.grid < 8:
-            raise ValueError("grid must have at least 8 points per axis")
-        if self.level_max is not None and self.level_max < 0:
-            raise ValueError("level_max must be >= 0")
 
 
 def besov_norm(matrix, spec):
@@ -448,6 +515,9 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     sums on stacks: the difference rows g of each outer level are the outer
     rows of the inner level sum's stacks, which are those of
     :func:`_grid_factors` (one shared row per level for a sup-type base).
+    Every outer level takes the rows of its half grid :func:`_half_grid`,
+    as do the inner levels of every base but a sup-type one: the rows at t
+    and -t differ by the sign (-1)^k, and every norm is even.
 
     For a sup-type base at p = inf the inner level sum is a max over levels
     of a max over diagonals, so its levels fold into the one row
@@ -461,8 +531,7 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
     spec = _norms._coerce_spec(base)
     if matrix.is_zero():
         raise ValueError("reiteration ratio undefined for the zero matrix")
-    if grid is None:
-        grid = _default_grid(matrix.dim)
+    grid = _default_grid(matrix.dim) if grid is None else _as_count(grid, "grid", 8)
     direct = besov_norm_modulus(matrix, spec, r + s, p, grid=grid)
     offs = matrix.offset_array()
     level_max = _default_level_max(matrix.window)
@@ -483,7 +552,7 @@ def reiteration_ratio(matrix, base, r, s, p=math.inf, grid=None):
         )
 
     def outer(l):
-        pts = t_grid(2.0**-l, matrix.dim, grid)
+        pts = _half_grid(2.0**-l, matrix.dim, grid)
         return inner(_difference_factors(offs, pts, _default_order(s))).max(-1)
 
     iterated = _level_sum(outer, inner(ones[0]), s, p, level_max)

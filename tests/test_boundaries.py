@@ -96,6 +96,30 @@ LIBRARY = [
     ("besov_norm_modulus level_max < 0",
      lambda: oddkit.besov_norm_modulus(A1, "jaffard:r=0", 0.5, level_max=-1),
      ValueError, "level_max must be >= 0"),
+    ("t_grid grid < 8", lambda: oddkit.t_grid(0.25, 1, 4),
+     ValueError, "grid must be >= 8"),
+    ("t_grid grid 12.5", lambda: oddkit.t_grid(0.25, 1, 12.5),
+     ValueError, "grid must be an integer"),
+    ("modulus grid 12.5", lambda: oddkit.modulus(A1, "schur:p=1,r=0", 0.25, grid=12.5),
+     ValueError, "grid must be an integer"),
+    ("modulus grid nan", lambda: oddkit.modulus(A1, "jaffard:r=0", 0.25, grid=np.nan),
+     ValueError, "grid must be an integer"),
+    ("BesovSpec grid 12.5", lambda: oddkit.BesovSpec("jaffard:r=0", 0.5, grid=12.5),
+     ValueError, "grid must be an integer"),
+    ("BesovSpec level_max nan", lambda: oddkit.BesovSpec("jaffard:r=0", 0.5, level_max=np.nan),
+     ValueError, "level_max must be an integer"),
+    ("besov_norm_modulus grid 12.5",
+     lambda: oddkit.besov_norm_modulus(A1, "jaffard:r=0", 0.5, grid=12.5),
+     ValueError, "grid must be an integer"),
+    ("besov_norm_modulus level_max 2.5",
+     lambda: oddkit.besov_norm_modulus(A1, "jaffard:r=0", 0.5, level_max=2.5),
+     ValueError, "level_max must be an integer"),
+    ("reiteration_ratio grid 12.5",
+     lambda: oddkit.reiteration_ratio(A2, "jaffard:r=0", 0.5, 0.5, grid=12.5),
+     ValueError, "grid must be an integer"),
+    ("reiteration_ratio grid < 8",
+     lambda: oddkit.reiteration_ratio(A2, "jaffard:r=0", 0.5, 0.5, grid=4),
+     ValueError, "grid must be >= 8"),
     ("parse_besov_spec without besov:", lambda: oddkit.parse_besov_spec("jaffard:r=0"),
      ValueError, "not a besov spec"),
     ("generate dim 3", lambda: oddkit.generate(DecayModel("det", 2.0), 4, dim=3),

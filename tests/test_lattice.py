@@ -225,6 +225,31 @@ def test_difference_matches_dense():
             assert np.allclose(got, want, atol=1e-12)
 
 
+def test_scaling_drops_diagonals_that_underflow():
+    # a nonzero factor can underflow every product of a diagonal: the
+    # diagonal goes, so == still means entrywise equality
+    zero = LatticeMatrix.zeros(1, 2)
+    a = LatticeMatrix(1, 2, {(1,): np.full(4, 1e-300)})
+    assert oddkit.difference(a, 1e-10, 3).is_zero()
+    assert a.scale_diagonals(lambda offs: np.full(len(offs), 1e-100)) == zero
+    # one surviving product keeps its diagonal; a diagonal that starts
+    # with a stored zero is read in full
+    b = LatticeMatrix(1, 2, {(0,): np.ones(5), (1,): np.array([1e-300, 0.0, 1.0, 1e-300])})
+    c = LatticeMatrix(1, 2, {(1,): np.array([0.0, 1e-300, 1e-300, 1e-300]), (2,): np.ones(3)})
+    for m in (b, c):
+        scaled = m.scale_diagonals(lambda offs: np.full(len(offs), 1e-100))
+        assert np.array_equal(scaled.to_dense(), m.to_dense() * 1e-100)
+        assert scaled == LatticeMatrix.from_dense(m.to_dense() * 1e-100)
+    # unit-modulus factors never underflow a product, even of the smallest
+    # subnormal entries
+    tiny = 5e-324
+    d = LatticeMatrix(
+        1, 2, {(-1,): np.full(4, tiny), (1,): np.full(4, tiny * (1 + 1j)), (2,): np.full(3, tiny * 1j)}
+    )
+    for t in np.linspace(0.0, 1.0, 97):
+        assert oddkit.modulate(d, t).offsets() == d.offsets()
+
+
 def test_difference_binomial_identity():
     a = random_matrix(13, 3)
     t = 0.29

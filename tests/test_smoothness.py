@@ -156,15 +156,15 @@ def _grid_values(monkeypatch, a, base, grid):
     take, one per level, and of two reiteration ratios (the highest order
     of their differences)."""
     seen = []
-    grid_sup = smoothness._grid_sup
+    grid_sups = smoothness._grid_sups
 
-    def record(matrix, spec, h, g, order):
-        value = grid_sup(matrix, spec, h, g, order)
-        seen.append((order, float(value)))
-        return value
+    def record(matrix, spec, hs, g, order, base=False):
+        values = grid_sups(matrix, spec, hs, g, order, base)
+        seen.extend((order, float(v)) for v in values[int(base) :])
+        return values
 
     with monkeypatch.context() as mp:
-        mp.setattr(smoothness, "_grid_sup", record)
+        mp.setattr(smoothness, "_grid_sups", record)
         for h in (1.0, 0.25, 0.0625):
             for order in (1, 2, 3):
                 oddkit.modulus(a, base, h, order, grid=grid)
@@ -221,6 +221,149 @@ def test_grid_sup_rows_are_read_only_and_keyed(monkeypatch):
         for other in rows[i + 1 :]:
             assert not np.shares_memory(row, other)
             assert row.shape != other.shape or not np.array_equal(row, other)
+
+
+def _generic(spec):
+    return lambda m: oddkit.matrix_norm(m, spec)
+
+
+def _full_grid_rows(matrix, h, grid, order):
+    """The difference rows of every point of t_grid, both halves."""
+    pts = oddkit.t_grid(h, matrix.dim, grid)
+    return smoothness._difference_factors(matrix.offset_array(), pts, order)
+
+
+def _full_grid_modulus(matrix, spec, h, grid, order):
+    rows = _full_grid_rows(matrix, h, grid, order)
+    return float(oddkit.norms._stack_values(matrix, spec, rows).max())
+
+
+def _full_grid_besov(matrix, spec, r, p, grid, level_max):
+    order = math.floor(r) + 1
+    levels = [
+        2.0 ** (r * l) * _full_grid_modulus(matrix, spec, 2.0**-l, grid, order)
+        for l in range(level_max + 1)
+    ]
+    return oddkit.matrix_norm(matrix, spec) + oddkit.norms._lp_combine(levels, p)
+
+
+def _full_grid_reiteration(matrix, spec, r, s, p, grid):
+    """The iterated over the direct norm with every level on the whole
+    grid, the outer rows g of each outer level scaling the inner stacks."""
+    level_max = _default_level_max(matrix.window)
+    stack = functools.partial(oddkit.norms._stack_values, matrix, spec)
+    ones = np.ones((1, len(matrix.offset_array())))
+    inner_rows = [
+        _full_grid_rows(matrix, 2.0**-l, grid, math.floor(r) + 1) for l in range(level_max + 1)
+    ]
+
+    def inner(g):
+        levels = [2.0 ** (r * l) * stack(rows, g) for l, rows in enumerate(inner_rows)]
+        return stack(ones, g) + oddkit.norms._lp_combine(np.stack(levels, axis=-1), p)
+
+    outer = [
+        2.0 ** (s * l) * inner(_full_grid_rows(matrix, 2.0**-l, grid, math.floor(s) + 1)).max()
+        for l in range(level_max + 1)
+    ]
+    iterated = inner(ones[0]) + oddkit.norms._lp_combine(outer, p)
+    return iterated / _full_grid_besov(matrix, spec, r + s, p, grid, level_max)
+
+
+HALF_GRID_BASES = (
+    NormSpec("schur", p=1.0, r=0.0),
+    NormSpec("schur", p=2.0, r=1.0),
+    NormSpec("cpr", p=2.0, r=0.0),
+    NormSpec("cpr", p=1.0, r=0.0, literal=True),
+    NormSpec("op"),
+    _generic(NormSpec("schur", p=1.0, r=0.0)),
+)
+
+
+@pytest.mark.parametrize("grid", [8, 9, 16])
+@pytest.mark.parametrize("dim,window", [(1, 4), (2, 1)])
+def test_half_grid_walk_matches_the_full_grid(dim, window, grid):
+    # the rows at t and -t differ by the sign (-1)^k and every base norm is
+    # even, so the half grid gives the sup of the whole grid; an odd grid
+    # holds t = 0, whose row is zero.  The grids are not symmetric to the
+    # last bit, so values may move in the last bits
+    a = decay_matrix(16, window, dim=dim)
+    half = smoothness._half_grid(0.5, dim, grid)
+    full = oddkit.t_grid(0.5, dim, grid)
+    # the half grid, its mirror image and, on an odd grid, the origin
+    halves = np.vstack([half, -half, np.zeros((grid % 2, dim))])
+    assert len(halves) == len(full)
+    ordered = [pts[np.lexsort(np.round(pts, 12).T)] for pts in (halves, full)]
+    assert np.allclose(*ordered, rtol=0, atol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterDomainWarning)
+        for spec in HALF_GRID_BASES:
+            pairs = [
+                (oddkit.modulus(a, spec, h, order, grid=grid),
+                 _full_grid_modulus(a, spec, h, grid, order))
+                for h in (1.0, 0.25) for order in (1, 2, 3)
+            ]
+            for r, p in ((0.5, math.inf), (1.5, 1.0)):
+                pairs.append((
+                    oddkit.besov_norm_modulus(a, spec, r, p, grid=grid, level_max=3),
+                    _full_grid_besov(a, spec, r, p, grid, 3),
+                ))
+            # the nested oracle scales one matrix per pair of rows for op
+            # and callables: at d=2 it takes seconds, so those stop at d=1
+            if grid != 16 and (dim == 1 or isinstance(spec, NormSpec) and spec.is_solid):
+                pairs.append((
+                    oddkit.reiteration_ratio(a, spec, 1.5, 0.5, 2.0, grid=grid),
+                    _full_grid_reiteration(a, spec, 1.5, 0.5, 2.0, grid),
+                ))
+            for got, want in pairs:
+                assert want > 0 and math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0), spec
+
+
+def test_walk_chunks_split_levels(monkeypatch):
+    # chunks of 5 rows split the base row and the 8 half-grid rows of each
+    # of 4 levels across chunk ends; the values are those of one chunk
+    a = decay_matrix(17, 4)
+    m = len(a.offset_array())
+    calls = (
+        lambda spec: oddkit.modulus(a, spec, 0.25, 2, grid=16),
+        lambda spec: oddkit.besov_norm_modulus(a, spec, 0.5, 2.0, grid=16, level_max=3),
+    )
+    real = oddkit.norms._stack_values
+    for spec in HALF_GRID_BASES:
+        whole = [call(spec) for call in calls]
+        stacks, depth = [], [0]
+
+        def recording(matrix, spec, factors, outer=None):
+            if not depth[0]:  # a callable base's own norm makes stack calls too
+                stacks.append(len(factors))
+            depth[0] += 1
+            try:
+                return real(matrix, spec, factors, outer)
+            finally:
+                depth[0] -= 1
+
+        with monkeypatch.context() as mp:
+            mp.setattr(oddkit.lattice, "_BLOCK_BYTES", 8 * m * 5)
+            mp.setattr(oddkit.norms, "_stack_values", recording)
+            chunked = [call(spec) for call in calls]
+        assert stacks == [5, 3] + [5] * 6 + [3], spec
+        for got, want in zip(chunked, whole):
+            assert math.isclose(got, want, rel_tol=1e-14, abs_tol=0.0), spec
+
+
+def test_schur_besov_modulus_is_one_line_sums_call(monkeypatch):
+    # the base row and the 8 half-grid rows of each of the 4 levels fit
+    # one chunk at d=1 W=64: one stack of 33 rows
+    a = decay_matrix(15, 64)
+    real = oddkit.norms._line_sums
+    stacks = []
+
+    def counting(matrix, spec, factors):
+        stacks.append(len(factors))
+        return real(matrix, spec, factors)
+
+    monkeypatch.setattr(oddkit.norms, "_line_sums", counting)
+    oddkit.besov_norm_modulus(a, "schur:p=1,r=0", 0.5, grid=16, level_max=3)
+    assert stacks == [1 + 4 * 8]
 
 
 def test_besov_modulus_main_diagonal_only():
@@ -409,6 +552,17 @@ def test_besov_spec_validation():
         BesovSpec("jaffard:r=0", r=1.5, order=1)
     with pytest.raises(ValueError):
         BesovSpec("jaffard:r=0", r=0.5, method="fourier")
+    # integral floats are taken as ints, and the grammar reads them back
+    base = NormSpec("jaffard", r=0.0)
+    spec = BesovSpec(base, r=0.5, order=2.0, grid=16.0, level_max=3.0)
+    assert spec == BesovSpec(base, r=0.5, order=2, grid=16, level_max=3)
+    assert all(type(v) is int for v in (spec.order, spec.grid, spec.level_max))
+    assert oddkit.parse_besov_spec(oddkit.format_besov_spec(spec)) == spec
+    a = decay_matrix(8, 4)
+    for base in ("jaffard:r=0", "schur:p=1,r=0"):
+        want = oddkit.besov_norm_modulus(a, base, 0.5, grid=16, level_max=3)
+        assert oddkit.besov_norm_modulus(a, base, 0.5, grid=16.0, level_max=3.0) == want
+        assert oddkit.modulus(a, base, 0.25, grid=16.0) == oddkit.modulus(a, base, 0.25, grid=16)
 
 
 def test_besov_norm_dispatch():
@@ -532,10 +686,6 @@ def test_reiteration_fast_path_matches_generic():
     fast = oddkit.reiteration_ratio(a, NormSpec("jaffard", r=0.0), 0.5, 0.5, grid=16)
     slow = oddkit.reiteration_ratio(a, lambda m: oddkit.jaffard_norm(m, 0.0), 0.5, 0.5, grid=16)
     assert math.isclose(fast, slow, rel_tol=1e-10)
-
-
-def _generic(spec):
-    return lambda m: oddkit.matrix_norm(m, spec)
 
 
 def test_reiteration_stack_paths_match_generic():
@@ -763,10 +913,27 @@ def test_besov_modulus_memory_bounded_d2():
 
 
 @pytest.mark.memory
+def test_schur_besov_modulus_memory_bounded_d2():
+    # the base row and the half-grid rows of every level are walked in
+    # chunks of at most the block budget: at d=2 W=8 on the default grid
+    # (7 levels of 370 rows on 1089 offsets) the call peaks at 16.3 MB,
+    # where it peaked at 28.4 MB forming each level's rows of the whole grid
+    a = oddkit.corpus(5, 8, count=1, dim=2)[0]
+    tracemalloc.start()
+    try:
+        oddkit.besov_norm_modulus(a, "schur:p=1,r=0", 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.memory
 def test_difference_factors_memory_bounded_d2():
-    # every base but a sup-type one still takes a level's (T, M) factors,
-    # 740 x 1089 here: formed in place the call peaks at 6.2 MB, and one
-    # temporary of the table would take it to 12.3 MB
+    # reiteration's inner levels still take a level's (T, M) factors, and
+    # the walk of the Besov modulus forms them in chunks; 740 x 1089 here:
+    # formed in place the call peaks at 6.2 MB, and one temporary of the
+    # table would take it to 12.3 MB
     a = oddkit.corpus(5, 8, count=1, dim=2)[0]
     pts = oddkit.t_grid(1.0, 2, 32)
     tracemalloc.start()
